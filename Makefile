@@ -61,7 +61,7 @@ microbench:
 
 # Append the next point of the committed BENCH_*.json performance
 # trajectory: the standing experiment set at 25 trials plus the
-# 108-template fullbank detector comparison and the sharded-engine swarm
+# 108-template fullbank identification stream and the sharded-engine swarm
 # scale sweep (trials 25 reaches the 100k-node point), validated and
 # regression-checked against the previous point.
 bench:

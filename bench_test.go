@@ -298,7 +298,7 @@ func BenchmarkUpsamplePlan4x(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]complex128, plan.OutputLen())
+	dst := make([]complex128, 4*len(taps))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		plan.Execute(dst, taps)

@@ -189,23 +189,3 @@ func sortTapsByDelay(taps []Tap) {
 		}
 	}
 }
-
-// DirectTap returns the first tap with Order 0, i.e. the line-of-sight
-// component, and true when present.
-func DirectTap(taps []Tap) (Tap, bool) {
-	for _, t := range taps {
-		if t.Order == 0 {
-			return t, true
-		}
-	}
-	return Tap{}, false
-}
-
-// TotalPower returns the summed tap power Σ|α_k|².
-func TotalPower(taps []Tap) float64 {
-	var p float64
-	for _, t := range taps {
-		p += real(t.Gain)*real(t.Gain) + imag(t.Gain)*imag(t.Gain)
-	}
-	return p
-}

@@ -86,7 +86,14 @@ func TestRealizeHallwayHasLOSAndReflections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, ok := DirectTap(taps)
+	var direct Tap
+	ok := false
+	for _, tap := range taps {
+		if tap.Order == 0 {
+			direct, ok = tap, true
+			break
+		}
+	}
 	if !ok {
 		t.Fatal("no LOS tap")
 	}
@@ -228,22 +235,5 @@ func TestRealizeDeterministicWithSeedProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 20, Rand: mrand.New(mrand.NewSource(53))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTotalPowerAndDirectTap(t *testing.T) {
-	taps := []Tap{
-		{Delay: 2, Gain: 3, Order: 1},
-		{Delay: 1, Gain: 4i, Order: 0},
-	}
-	if got := TotalPower(taps); math.Abs(got-25) > 1e-12 {
-		t.Fatalf("TotalPower = %g", got)
-	}
-	direct, ok := DirectTap(taps)
-	if !ok || direct.Gain != 4i {
-		t.Fatalf("DirectTap = %v, %v", direct, ok)
-	}
-	if _, ok := DirectTap([]Tap{{Order: 1}}); ok {
-		t.Fatal("DirectTap found a LOS tap where none exists")
 	}
 }

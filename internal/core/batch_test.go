@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
+	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
@@ -78,19 +79,20 @@ func requireSameResponses(t *testing.T, label string, got, want []Response) {
 
 func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 	const noise = 1e-4
+	// Eight shapes put the detector on the spectral path, three on the
+	// reference path.
 	for _, tc := range []struct {
 		name   string
 		shapes int
-		cfg    DetectorConfig
 	}{
-		{"spectral", 8, DetectorConfig{Mode: ModeSpectral}},
-		{"reference", 3, DetectorConfig{Mode: ModeReference}},
+		{"spectral", 8},
+		{"reference", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bank := newTestBank(t, tc.shapes)
 			inputs := batchStreamInputs(t, bank, dw1000.CIRLength, 7, noise)
 			// The sequential ground truth: one detector, one Detect per CIR.
-			ref, err := NewDetector(bank, tc.cfg)
+			ref, err := NewDetector(bank, DetectorConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +103,7 @@ func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 2, 3, 5} {
-				eng, err := NewBatchDetector(bank, tc.cfg, workers)
+				eng, err := NewBatchDetector(bank, DetectorConfig{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,8 +132,7 @@ func TestDetectBatchMatchesDetectAtAnyWorkerCount(t *testing.T) {
 func TestDetectBatchDegenerateInputs(t *testing.T) {
 	const noise = 1e-4
 	bank := newTestBank(t, 8)
-	cfg := DetectorConfig{Mode: ModeSpectral}
-	eng, err := NewBatchDetector(bank, cfg, 2)
+	eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestDetectBatchDegenerateInputs(t *testing.T) {
 		t.Fatalf("empty batch returned %d results", len(res))
 	}
 
-	ref, err := NewDetector(bank, cfg)
+	ref, err := NewDetector(bank, DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +197,34 @@ func TestDetectBatchDegenerateInputs(t *testing.T) {
 		requireSameResponses(t, "mixed lengths", res[i].Responses, want)
 	}
 
-	// A mid-batch item error (zero noise RMS under thresholded detection)
-	// fails only that item.
-	bad := []BatchInput{long[0], {Taps: long[1].Taps, NoiseRMS: 0}, long[1]}
-	res = eng.DetectBatch(bad)
-	if res[1].Err == nil || len(res[1].Responses) != 0 {
-		t.Fatalf("mid-batch error: %+v", res[1])
+	// Mid-batch item errors (a noise RMS that is zero or NaN, a NaN or
+	// infinite tap) fail only their own items, and the batch counts them
+	// in detector.batch_errors.
+	nanTap := append([]complex128(nil), long[1].Taps...)
+	nanTap[300] = complex(math.NaN(), 0)
+	infTap := append([]complex128(nil), long[1].Taps...)
+	infTap[5] = complex(0, math.Inf(1))
+	bad := []BatchInput{
+		long[0],
+		{Taps: long[1].Taps, NoiseRMS: 0},
+		{Taps: long[1].Taps, NoiseRMS: math.NaN()},
+		{Taps: nanTap, NoiseRMS: noise},
+		{Taps: infTap, NoiseRMS: noise},
+		long[1],
 	}
-	for _, i := range []int{0, 2} {
+	reg := obs.NewRegistry()
+	eng.SetRecorder(reg)
+	res = eng.DetectBatch(bad)
+	eng.SetRecorder(nil)
+	for i := 1; i <= 4; i++ {
+		if res[i].Err == nil || len(res[i].Responses) != 0 {
+			t.Fatalf("mid-batch error item %d: %+v", i, res[i])
+		}
+	}
+	if got := reg.Snapshot().CounterValue(MetricBatchErrors); got != 4 {
+		t.Fatalf("%s = %d, want 4", MetricBatchErrors, got)
+	}
+	for _, i := range []int{0, 5} {
 		if res[i].Err != nil {
 			t.Fatalf("neighbor %d failed: %v", i, res[i].Err)
 		}
@@ -218,7 +239,7 @@ func TestDetectBatchDegenerateInputs(t *testing.T) {
 func TestDetectBatchProgressTicksPerProcessedItem(t *testing.T) {
 	const noise = 1e-4
 	bank := newTestBank(t, 8)
-	eng, err := NewBatchDetector(bank, DetectorConfig{Mode: ModeSpectral}, 2)
+	eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +267,7 @@ func TestDetectBatchProgressTicksPerProcessedItem(t *testing.T) {
 func TestDetectBatchZeroAllocSteadyState(t *testing.T) {
 	const noise = 1e-4
 	bank := newTestBank(t, 8)
-	eng, err := NewBatchDetector(bank, DetectorConfig{Mode: ModeSpectral}, 2)
+	eng, err := NewBatchDetector(bank, DetectorConfig{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +294,7 @@ func BenchmarkDetectBatch(b *testing.B) {
 		bank.Shape(i%bank.Len()).RenderInto(taps, complex(0.02, 0.008), 150+40*float64(i), ts)
 		inputs[i] = BatchInput{Taps: taps, NoiseRMS: noise}
 	}
-	eng, err := NewBatchDetector(bank, DetectorConfig{Mode: ModeSpectral, MaxResponses: 1}, 0)
+	eng, err := NewBatchDetector(bank, DetectorConfig{MaxResponses: 1}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

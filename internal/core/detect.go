@@ -41,7 +41,7 @@ const (
 	// refinement steps across all extracted responses.
 	MetricDetectRefineSteps = "detector.refine_steps"
 	// MetricDetectMarginDB is the per-response peak-to-threshold margin
-	// 20·log10(|α̂|/threshold); recorded only in thresholded mode.
+	// 20·log10(|α̂|/threshold).
 	MetricDetectMarginDB = "detector.margin_db"
 	// MetricDetectResidualFrac is the per-call residual-to-input energy
 	// ratio after the last subtraction.
@@ -50,9 +50,9 @@ const (
 	// matched filtering of one template against one residual).
 	MetricDetectTemplateEvals = "detector.template_evals"
 	// MetricUpsampleExecs and the bank metrics surface the dsp plan-level
-	// execution counters. In spectral mode a bank "transform" is one
+	// execution counters. On the spectral path a bank "transform" is one
 	// SpectralBank.Ingest (once per Detect) and a bank "filter" is one
-	// ScanBest; in reference mode they are MatchedFilterBank.Transform
+	// ScanBest; on the reference path they are MatchedFilterBank.Transform
 	// (once per round) and FilterInto/FilterPeak.
 	MetricUpsampleExecs  = "dsp.upsample_execs"
 	MetricBankTransforms = "dsp.bank_transforms"
@@ -60,33 +60,6 @@ const (
 	// MetricBankShiftSubtracts counts analytic DFT-shift spectrum updates —
 	// the subtractions the spectral path performs without any transform.
 	MetricBankShiftSubtracts = "dsp.bank_shift_subtracts"
-)
-
-// DetectorMode selects the detector's search implementation.
-type DetectorMode int
-
-const (
-	// ModeAuto (the default) picks per bank size: the spectral fast path
-	// for banks of at least minParallelTemplates templates — the Sect. V
-	// shape-identification case, where the per-round forward transforms
-	// dominate — and the exact reference path for small banks, whose
-	// results are pinned bit-exactly by the golden tests and where the
-	// spectral win is smaller. DisableRefinement always forces the
-	// reference path (its on-grid amplitudes read the exact
-	// matched-filter output).
-	ModeAuto DetectorMode = iota
-	// ModeSpectral maintains the residual's up-sampled spectrum
-	// analytically across extractions: one upsample + one forward FFT per
-	// Detect, zero forward transforms per round. The coarse peak search
-	// runs on that (slightly approximate) spectrum; refinement, amplitude
-	// estimation, thresholding and subtraction all stay on the exactly
-	// maintained T_s residual, so delays and amplitudes match the
-	// reference path whenever the coarse argmax lands in the same basin.
-	ModeSpectral
-	// ModeReference re-upsamples and re-transforms the residual every
-	// round — the exact implementation the spectral path is validated
-	// against.
-	ModeReference
 )
 
 // Response is one detected responder pulse in the CIR.
@@ -117,24 +90,15 @@ type DetectorConfig struct {
 	// ThresholdFactor is the detection threshold as a multiple of the CIR
 	// noise RMS; extraction stops when the strongest remaining matched-
 	// filter peak drops below it. Zero selects DefaultThresholdFactor.
-	// It is ignored (no early stop) when MaxResponses > 0 and
-	// DisableThreshold is set.
 	ThresholdFactor float64
-	// DisableThreshold turns the noise-floor stop off entirely; only
-	// MaxResponses limits extraction then.
-	DisableThreshold bool
-	// MaxIterations is a safety cap on extraction rounds. Zero selects
-	// DefaultMaxIterations.
-	MaxIterations int
 	// DisableRefinement skips the sub-sample golden-section refinement
 	// and estimates each response on the up-sampled grid only — the
 	// literal steps 3–5 of the paper. Kept as an ablation: the residual
 	// of a grid-limited subtraction re-triggers detection at high SNR.
-	// Incompatible with ModeSpectral (the grid amplitude is read off the
-	// matched-filter output, which the spectral path only approximates).
+	// It always selects the reference search path (the grid amplitude is
+	// read off the matched-filter output, which the spectral path only
+	// approximates).
 	DisableRefinement bool
-	// Mode selects the search implementation; see DetectorMode.
-	Mode DetectorMode
 	// Workers bounds the goroutines fanned across the template bank each
 	// round. 0 means automatic: GOMAXPROCS workers for banks of at least
 	// eight templates (a full Sect. V bank), serial otherwise — small
@@ -147,7 +111,35 @@ type DetectorConfig struct {
 const (
 	DefaultUpsample        = 4
 	DefaultThresholdFactor = 6.0
-	DefaultMaxIterations   = 64
+)
+
+// maxIterations is a safety cap on extraction rounds; the noise-floor
+// threshold or MaxResponses ends every realistic Detect long before it.
+const maxIterations = 64
+
+// searchPath selects Detect's coarse-search implementation.
+type searchPath int
+
+const (
+	// pathAuto, the only path production detectors use, picks by what the
+	// detector can observe: the spectral path for banks of at least
+	// minParallelTemplates templates with refinement on — the Sect. V
+	// shape-identification case, where the per-round forward transforms
+	// dominate — and the reference path otherwise. The small banks the
+	// golden tests pin stay on the reference path.
+	pathAuto searchPath = iota
+	// pathSpectral maintains the residual's up-sampled spectrum
+	// analytically across extractions: one upsample + one forward FFT per
+	// Detect, zero forward transforms per round. The coarse peak search
+	// runs on that (slightly approximate) spectrum; refinement, amplitude
+	// estimation, thresholding and subtraction all stay on the exactly
+	// maintained T_s residual, so delays and amplitudes match the
+	// reference path whenever the coarse argmax lands in the same basin.
+	pathSpectral
+	// pathReference re-upsamples and re-transforms the residual every
+	// round — the exact implementation the spectral path is tested
+	// against.
+	pathReference
 )
 
 // Detector runs the paper's search-and-subtract algorithm with a bank of
@@ -160,6 +152,7 @@ const (
 // state — Detect is deterministic in its inputs.
 type Detector struct {
 	cfg       DetectorConfig
+	path      searchPath
 	bank      *pulse.Bank
 	ts        float64 // CIR sample interval
 	tsUp      float64 // up-sampled interval
@@ -266,6 +259,12 @@ func (d *Detector) SetTraceParent(sp *trace.Span) { d.traceParent = sp }
 
 // NewDetector builds a detector for CIRs sampled at the bank's interval.
 func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
+	return newDetector(bank, cfg, pathAuto)
+}
+
+// newDetector is NewDetector with the search path forced, for the tests
+// that compare the spectral and reference paths on one bank.
+func newDetector(bank *pulse.Bank, cfg DetectorConfig, path searchPath) (*Detector, error) {
 	if bank == nil {
 		return nil, fmt.Errorf("core: nil template bank")
 	}
@@ -281,26 +280,15 @@ func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
 	if cfg.ThresholdFactor < 0 {
 		return nil, fmt.Errorf("core: negative threshold factor %g", cfg.ThresholdFactor)
 	}
-	if cfg.MaxIterations == 0 {
-		cfg.MaxIterations = DefaultMaxIterations
-	}
 	if cfg.MaxResponses < 0 {
 		return nil, fmt.Errorf("core: negative MaxResponses %d", cfg.MaxResponses)
-	}
-	if cfg.MaxResponses == 0 && cfg.DisableThreshold {
-		return nil, fmt.Errorf("core: automatic mode requires the detection threshold")
-	}
-	if cfg.Mode < ModeAuto || cfg.Mode > ModeReference {
-		return nil, fmt.Errorf("core: unknown detector mode %d", cfg.Mode)
-	}
-	if cfg.Mode == ModeSpectral && cfg.DisableRefinement {
-		return nil, fmt.Errorf("core: ModeSpectral needs refinement (grid amplitudes read the exact matched-filter output)")
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("core: negative Workers %d", cfg.Workers)
 	}
 	d := &Detector{
 		cfg:       cfg,
+		path:      path,
 		bank:      bank,
 		ts:        bank.SampleInterval(),
 		tsUp:      bank.SampleInterval() / float64(cfg.Upsample),
@@ -368,10 +356,10 @@ func (d *Detector) ensureState(n int) error {
 
 // useSpectral reports whether Detect runs the spectral fast path.
 func (d *Detector) useSpectral() bool {
-	switch d.cfg.Mode {
-	case ModeSpectral:
+	switch d.path {
+	case pathSpectral:
 		return true
-	case ModeReference:
+	case pathReference:
 		return false
 	default:
 		return !d.cfg.DisableRefinement && len(d.templates) >= minParallelTemplates
@@ -406,8 +394,8 @@ func (d *Detector) Config() DetectorConfig { return d.cfg }
 // Detect runs search and subtract on the CIR taps (sampled at the bank's
 // interval) and returns the detected responses sorted by ascending delay
 // (Sect. IV step 7). noiseRMS is the per-tap complex noise RMS used for
-// the detection threshold; it must be positive unless the threshold is
-// disabled.
+// the detection threshold; it must be positive and finite, and every tap
+// must be finite.
 //
 // Each round matched-filters the residual with every template, picks the
 // globally strongest peak (its template identifies the responder's pulse
@@ -430,9 +418,13 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	if len(taps) == 0 {
 		return dst, fmt.Errorf("core: empty CIR")
 	}
-	useThreshold := !d.cfg.DisableThreshold
-	if useThreshold && noiseRMS <= 0 {
-		return dst, fmt.Errorf("core: noise RMS %g must be positive for thresholded detection", noiseRMS)
+	if !(noiseRMS > 0) || math.IsInf(noiseRMS, 1) {
+		return dst, fmt.Errorf("core: noise RMS %g must be positive and finite", noiseRMS)
+	}
+	for i, v := range taps {
+		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
+			return dst, fmt.Errorf("core: non-finite CIR tap %d (%v)", i, v)
+		}
 	}
 	threshold := d.cfg.ThresholdFactor * noiseRMS
 	if err := d.ensureState(len(taps)); err != nil {
@@ -444,7 +436,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 	// Instrumentation is observational only: the counters and trace
 	// events below never influence the search, and the energy tallies
 	// run only when a recorder or a live span is attached.
-	span := d.beginDetectSpan(len(taps), noiseRMS, threshold, useThreshold)
+	span := d.beginDetectSpan(len(taps), noiseRMS, threshold)
 	if span != nil {
 		if cap(d.scoreStorage) < len(d.templates) {
 			d.scoreStorage = make([]float64, len(d.templates))
@@ -474,7 +466,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 
 	responses, base := dst, len(dst)
 	d.extracted = d.extracted[:0] // peak positions already subtracted, in T_s samples
-	for iter := 0; iter < d.cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if d.cfg.MaxResponses > 0 && len(responses)-base >= d.cfg.MaxResponses {
 			stop = trace.ReasonMaxResponses
 			break
@@ -501,7 +493,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		if best.t < 0 {
 			stop = trace.ReasonNoCandidate
 			if span != nil {
-				d.emitRound(span, rounds-1, best, 0, 0, threshold, useThreshold, stop, inputEnergy)
+				d.emitRound(span, rounds-1, best, 0, 0, threshold, stop, inputEnergy)
 			}
 			break
 		}
@@ -535,14 +527,14 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		if alpha == 0 {
 			stop = trace.ReasonZeroAmplitude
 			if span != nil {
-				d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, useThreshold, stop, inputEnergy)
+				d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, stop, inputEnergy)
 			}
 			break
 		}
-		if useThreshold && cmplx.Abs(alpha) < threshold {
+		if cmplx.Abs(alpha) < threshold {
 			stop = trace.ReasonBelowThreshold
 			if span != nil {
-				d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, useThreshold, stop, inputEnergy)
+				d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, stop, inputEnergy)
 			}
 			break
 		}
@@ -562,12 +554,12 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 		}
 		d.extracted = append(d.extracted, peakPos)
 		if span != nil {
-			d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, useThreshold, trace.ReasonAccepted, inputEnergy)
+			d.emitRound(span, rounds-1, best, peakPos, alpha, threshold, trace.ReasonAccepted, inputEnergy)
 		}
 	}
 	sortResponsesByDelay(responses[base:])
 	if d.rec != nil {
-		d.recordDetect(responses[base:], rounds, refineSteps, threshold, useThreshold, inputEnergy)
+		d.recordDetect(responses[base:], rounds, refineSteps, threshold, inputEnergy)
 	}
 	if span != nil {
 		span.EndWith(trace.Attrs{
@@ -585,7 +577,7 @@ func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS floa
 // trace parent when it is recording, else as a root span on the flight
 // recorder. It returns nil — the "not tracing" sentinel the hot path
 // checks — when neither is live or the root was sampled out.
-func (d *Detector) beginDetectSpan(cirLen int, noiseRMS, threshold float64, useThreshold bool) *trace.Span {
+func (d *Detector) beginDetectSpan(cirLen int, noiseRMS, threshold float64) *trace.Span {
 	if d.traceParent == nil && d.flight == nil {
 		return nil
 	}
@@ -599,9 +591,7 @@ func (d *Detector) beginDetectSpan(cirLen int, noiseRMS, threshold float64, useT
 		"cir_len":   cirLen,
 		"noise_rms": noiseRMS,
 		"spectral":  d.sbank != nil,
-	}
-	if useThreshold {
-		attrs["threshold"] = threshold
+		"threshold": threshold,
 	}
 	var sp *trace.Span
 	if d.traceParent != nil {
@@ -628,7 +618,7 @@ func failDetectSpan(span *trace.Span, err error) {
 // the residual-to-input energy fraction at the end of the round (after
 // the subtraction for accepted rounds). Only reached while tracing.
 func (d *Detector) emitRound(span *trace.Span, round int, best candidate,
-	peakPos float64, alpha complex128, threshold float64, useThreshold bool,
+	peakPos float64, alpha complex128, threshold float64,
 	reason string, inputEnergy float64) {
 	if span == nil {
 		return
@@ -644,7 +634,7 @@ func (d *Detector) emitRound(span *trace.Span, round int, best candidate,
 		attrs[trace.AttrDelayS] = peakPos * d.ts
 		amp := cmplx.Abs(alpha)
 		attrs[trace.AttrAmplitude] = amp
-		if useThreshold && threshold > 0 && amp > 0 {
+		if threshold > 0 && amp > 0 {
 			attrs[trace.AttrMarginDB] = 20 * math.Log10(amp/threshold)
 		}
 	}
@@ -658,7 +648,7 @@ func (d *Detector) emitRound(span *trace.Span, round int, best candidate,
 // with a non-nil recorder; the guard also keeps the nilinstr contract
 // locally checkable.
 func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
-	threshold float64, useThreshold bool, inputEnergy float64) {
+	threshold, inputEnergy float64) {
 	rec := d.rec
 	if rec == nil {
 		return
@@ -671,7 +661,7 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 	rec.Observe(MetricDetectResponses, float64(len(responses)))
 	rec.Observe(MetricDetectRefineSteps, float64(refineSteps))
 	rec.Count(MetricDetectTemplateEvals, int64(rounds*len(d.templates)))
-	if useThreshold && threshold > 0 {
+	if threshold > 0 {
 		for _, r := range responses {
 			rec.Observe(MetricDetectMarginDB, 20*math.Log10(r.Magnitude()/threshold))
 		}

@@ -73,16 +73,12 @@ func TestNewDetectorValidation(t *testing.T) {
 	if _, err := NewDetector(bank, DetectorConfig{MaxResponses: -1}); err == nil {
 		t.Error("negative MaxResponses accepted")
 	}
-	if _, err := NewDetector(bank, DetectorConfig{DisableThreshold: true}); err == nil {
-		t.Error("automatic mode without threshold accepted")
-	}
 	d, err := NewDetector(bank, DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := d.Config()
-	if cfg.Upsample != DefaultUpsample || cfg.ThresholdFactor != DefaultThresholdFactor ||
-		cfg.MaxIterations != DefaultMaxIterations {
+	if cfg.Upsample != DefaultUpsample || cfg.ThresholdFactor != DefaultThresholdFactor {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }
@@ -272,6 +268,49 @@ func TestDetectErrors(t *testing.T) {
 	}
 	if _, err := d.Detect(make([]complex128, 64), 0); err == nil {
 		t.Error("zero noise RMS accepted for thresholded detection")
+	}
+}
+
+// TestDetectRejectsNonFiniteInput: a NaN or infinite tap, or a noise RMS
+// that is not positive and finite, is an error on both search paths —
+// never a silent empty result or an iteration cap's worth of junk.
+func TestDetectRejectsNonFiniteInput(t *testing.T) {
+	const noise = 1e-4
+	taps := makeCIR(t, []pulseAt{{shapeFor(t, pulse.RegisterS1), 300 * ts, complex(0.02, 0.01)}}, noise, 3)
+	withTap := func(i int, v complex128) []complex128 {
+		out := append([]complex128(nil), taps...)
+		out[i] = v
+		return out
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name     string
+		taps     []complex128
+		noiseRMS float64
+	}{
+		{"NaN noise RMS", taps, nan},
+		{"+Inf noise RMS", taps, inf},
+		{"-Inf noise RMS", taps, -inf},
+		{"zero noise RMS", taps, 0},
+		{"negative noise RMS", taps, -noise},
+		{"NaN real tap", withTap(300, complex(nan, 0)), noise},
+		{"NaN imaginary tap", withTap(0, complex(0, nan)), noise},
+		{"+Inf tap", withTap(700, complex(inf, 0)), noise},
+		{"-Inf imaginary tap", withTap(dw1000.CIRLength-1, complex(1, -inf)), noise},
+	}
+	// Three shapes run the reference path, the full bank the spectral one.
+	for _, shapes := range []int{3, pulse.NumShapes} {
+		d := newTestDetector(t, shapes, DetectorConfig{})
+		for _, tc := range cases {
+			got, err := d.Detect(tc.taps, tc.noiseRMS)
+			if err == nil || len(got) != 0 {
+				t.Errorf("%d shapes, %s: %d responses, err %v; want an error", shapes, tc.name, len(got), err)
+			}
+		}
+		// The same detector still serves finite input afterwards.
+		if got, err := d.Detect(taps, noise); err != nil || len(got) != 1 {
+			t.Errorf("%d shapes, finite CIR: %d responses, err %v; want 1", shapes, len(got), err)
+		}
 	}
 }
 

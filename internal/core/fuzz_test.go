@@ -3,43 +3,69 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
-// FuzzDetect feeds arbitrary CIRs through the search-and-subtract
-// detector: it must never panic, always terminate, and always return
-// delay-sorted responses with finite fields.
+// FuzzDetect feeds arbitrary complex CIRs (16 bytes per tap: real then
+// imaginary part) and noise levels through the search-and-subtract
+// detector, on a 2-shape bank (reference path) or an 8-shape bank
+// (spectral path): it must never panic, always terminate, reject
+// non-finite input with an error, and otherwise return delay-sorted
+// responses with finite fields.
 func FuzzDetect(f *testing.F) {
-	f.Add(make([]byte, 1016*4))
-	f.Add([]byte{0xff, 0x10, 0x22})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		n := len(data) / 8
+	tail := func(v float64) []byte {
+		return binary.LittleEndian.AppendUint64(make([]byte, 64*16+8), math.Float64bits(v))
+	}
+	f.Add(make([]byte, 1016*16), 1e-5, false)
+	f.Add([]byte{0xff, 0x10, 0x22}, 1e-5, false)
+	f.Add(make([]byte, 1016*16), 1e-5, true)
+	f.Add(tail(math.NaN()), 1e-5, true)
+	f.Add(tail(math.Inf(-1)), 1e-5, false)
+	f.Add(make([]byte, 64*16), math.NaN(), true)
+	f.Add(make([]byte, 64*16), math.Inf(1), false)
+	f.Add(make([]byte, 64*16), 0.0, true)
+	var dets [2]*Detector
+	for i, shapes := range []int{2, minParallelTemplates} {
+		bank, err := pulse.DefaultBank(1.0016e-9, shapes)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if dets[i], err = NewDetector(bank, DetectorConfig{}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, noiseRMS float64, spectral bool) {
+		n := min(len(data)/16, 1016)
 		if n == 0 {
 			t.Skip()
 		}
-		if n > 1016 {
-			n = 1016
+		valid := noiseRMS > 0 && !math.IsInf(noiseRMS, 1)
+		part := func(off int) float64 {
+			x := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				valid = false
+				return x
+			}
+			return math.Max(-1e3, math.Min(1e3, x))
 		}
 		taps := make([]complex128, n)
-		for i := 0; i < n; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-			if math.IsNaN(re) || math.IsInf(re, 0) {
-				t.Skip()
+		for i := range taps {
+			taps[i] = complex(part(16*i), part(16*i+8))
+		}
+		det := dets[0]
+		if spectral {
+			det = dets[1]
+		}
+		responses, err := det.Detect(taps, noiseRMS)
+		if !valid {
+			if err == nil || len(responses) != 0 {
+				t.Fatalf("non-finite input: %d responses, err %v", len(responses), err)
 			}
-			re = math.Max(-1e3, math.Min(1e3, re))
-			taps[i] = complex(re, 0)
+			return
 		}
-		bank, err := pulse.DefaultBank(1.0016e-9, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		det, err := NewDetector(bank, DetectorConfig{MaxIterations: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		responses, err := det.Detect(taps, 1e-5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,10 +73,13 @@ func FuzzDetect(f *testing.F) {
 			if math.IsNaN(r.Delay) || math.IsInf(r.Delay, 0) {
 				t.Fatalf("non-finite delay %v", r.Delay)
 			}
+			if cmplx.IsNaN(r.Amplitude) || cmplx.IsInf(r.Amplitude) {
+				t.Fatalf("non-finite amplitude %v", r.Amplitude)
+			}
 			if i > 0 && responses[i].Delay < responses[i-1].Delay {
 				t.Fatal("responses not sorted")
 			}
-			if r.TemplateIndex < 0 || r.TemplateIndex >= bank.Len() {
+			if r.TemplateIndex < 0 || r.TemplateIndex >= det.Bank().Len() {
 				t.Fatalf("template index %d out of range", r.TemplateIndex)
 			}
 		}

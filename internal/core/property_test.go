@@ -79,14 +79,15 @@ func TestDetectRandomTrainsProperty(t *testing.T) {
 // challenge IV).
 func TestDetectLinearityProperty(t *testing.T) {
 	bank, _ := pulse.DefaultBank(ts, 1)
-	det, _ := NewDetector(bank, DetectorConfig{DisableThreshold: true, MaxResponses: 2})
+	det, _ := NewDetector(bank, DetectorConfig{MaxResponses: 2})
 	shape := bank.Shape(0)
 	f := func(seed uint64) bool {
 		r := rand.New(rand.NewPCG(seed, 23))
 		taps := make([]complex128, 1016)
 		shape.RenderInto(taps, complex(1e-3, 2e-4), 100.3, ts)
 		shape.RenderInto(taps, complex(-4e-4, 3e-4), 300.8, ts)
-		sigma := 1e-6 / math.Sqrt2
+		const noise = 1e-6
+		sigma := noise / math.Sqrt2
 		for i := range taps {
 			taps[i] += complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
 		}
@@ -95,8 +96,8 @@ func TestDetectLinearityProperty(t *testing.T) {
 		for i := range taps {
 			scaled[i] = taps[i] * scale
 		}
-		a, err1 := det.Detect(taps, 0)
-		b, err2 := det.Detect(scaled, 0)
+		a, err1 := det.Detect(taps, noise)
+		b, err2 := det.Detect(scaled, noise*real(scale))
 		if err1 != nil || err2 != nil || len(a) != len(b) || len(a) != 2 {
 			return false
 		}

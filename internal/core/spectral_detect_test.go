@@ -135,13 +135,11 @@ func TestDetectSpectralMatchesReference(t *testing.T) {
 		// the overlap residual of same-position pulses down to the noise
 		// floor, where coarse-search basins are legitimately unstable.
 		cfg := DetectorConfig{MaxResponses: responders}
-		cfg.Mode = ModeReference
-		ref, err := NewDetector(bank, cfg)
+		ref, err := newDetector(bank, cfg, pathReference)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Mode = ModeSpectral
-		fast, err := NewDetector(bank, cfg)
+		fast, err := newDetector(bank, cfg, pathSpectral)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +283,7 @@ func TestFilterPeakMatchesScan(t *testing.T) {
 }
 
 // TestDetectWorkersMatchSerial: the parallel template fan-out must give
-// exactly the serial result in both modes — the deterministic reduce
+// exactly the serial result on both search paths — the deterministic reduce
 // breaks squared-magnitude ties toward the lower template index, like the
 // serial ascending scan. Run under -race in CI, this is also the data-race
 // check of the shared-state contract.
@@ -295,12 +293,12 @@ func TestDetectWorkersMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	const noise = 1.4e-5
-	for _, mode := range []DetectorMode{ModeReference, ModeSpectral} {
-		serial, err := NewDetector(bank, DetectorConfig{Mode: mode, Workers: 1})
+	for _, path := range []searchPath{pathReference, pathSpectral} {
+		serial, err := newDetector(bank, DetectorConfig{Workers: 1}, path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := NewDetector(bank, DetectorConfig{Mode: mode, Workers: 4})
+		parallel, err := newDetector(bank, DetectorConfig{Workers: 4}, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,12 +313,12 @@ func TestDetectWorkersMatchSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("mode %d seed %d: %d responses parallel, %d serial", mode, seed, len(got), len(want))
+				t.Fatalf("path %d seed %d: %d responses parallel, %d serial", path, seed, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("mode %d seed %d response %d: parallel %+v != serial %+v",
-						mode, seed, i, got[i], want[i])
+					t.Fatalf("path %d seed %d response %d: parallel %+v != serial %+v",
+						path, seed, i, got[i], want[i])
 				}
 			}
 		}
@@ -335,7 +333,7 @@ func TestDetectSpectralObsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(bank, DetectorConfig{Mode: ModeSpectral})
+	det, err := newDetector(bank, DetectorConfig{}, pathSpectral)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -458,10 +458,6 @@ func NewUpsamplePlan(n, factor int) (*UpsamplePlan, error) {
 	return p, nil
 }
 
-// InputLen and OutputLen return the planned signal lengths.
-func (p *UpsamplePlan) InputLen() int  { return p.n }
-func (p *UpsamplePlan) OutputLen() int { return p.n * p.factor }
-
 // Execs returns the number of Execute calls since the plan was built —
 // plan-level observability for the instrumentation layer. Like the plan
 // itself the counter is single-goroutine.
@@ -686,12 +682,6 @@ func (b *MatchedFilterBank) planFor(m int) (*FFTPlan, error) {
 	return p, nil
 }
 
-// SignalLen returns the signal length the bank was built for.
-func (b *MatchedFilterBank) SignalLen() int { return b.sigLen }
-
-// NumTemplates returns the number of templates in the bank.
-func (b *MatchedFilterBank) NumTemplates() int { return len(b.tmpls) }
-
 // Transforms and Filters return how many signals were ingested and how
 // many template filterings ran since the bank was built — plan-level
 // observability for the instrumentation layer.
@@ -719,7 +709,7 @@ func (b *MatchedFilterBank) Transform(sig []complex128) error {
 
 // FilterInto writes the matched-filter output of template t against the
 // last Transform-ed signal into dst (length ≥ the bank's signal length)
-// and returns dst[:SignalLen()]. The output is bit-identical to
+// and returns dst[:n] for the bank's signal length n. The output is bit-identical to
 // MatchedFilter(sig, template[t]).
 func (b *MatchedFilterBank) FilterInto(dst []complex128, t int) ([]complex128, error) {
 	if !b.ready {

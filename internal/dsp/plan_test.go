@@ -143,9 +143,6 @@ func TestUpsamplePlanMatchesUpsampleFFT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.InputLen() != c.n || p.OutputLen() != c.n*c.factor {
-			t.Fatalf("plan lengths %d → %d", p.InputLen(), p.OutputLen())
-		}
 		v := randComplex(c.n, uint64(c.n*c.factor))
 		want, err := UpsampleFFT(v, c.factor)
 		if err != nil {
@@ -243,9 +240,6 @@ func TestMatchedFilterBankMatchesMatchedFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bank.SignalLen() != sigLen || bank.NumTemplates() != len(templates) {
-		t.Fatalf("bank geometry %d/%d", bank.SignalLen(), bank.NumTemplates())
-	}
 	dst := make([]complex128, sigLen)
 	for round := 0; round < 2; round++ { // exercise buffer reuse across signals
 		sig := randComplex(sigLen, 20+uint64(round))
@@ -318,7 +312,7 @@ func TestPlanExecutionCounters(t *testing.T) {
 		if err := bank.Transform(in); err != nil {
 			t.Fatal(err)
 		}
-		for tmpl := 0; tmpl < bank.NumTemplates(); tmpl++ {
+		for tmpl := 0; tmpl < 2; tmpl++ {
 			if _, err := bank.FilterInto(dst, tmpl); err != nil {
 				t.Fatal(err)
 			}

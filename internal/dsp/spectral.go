@@ -116,12 +116,6 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 	return b, nil
 }
 
-// SignalLen returns the signal length the bank was built for.
-func (b *SpectralBank) SignalLen() int { return b.sigLen }
-
-// NumTemplates returns the number of templates in the bank.
-func (b *SpectralBank) NumTemplates() int { return len(b.tmpls) }
-
 // PrefixLen returns how many leading time-domain signal samples the bank
 // maintains for overlap-save tail correction; ShiftSubtract's eval
 // callback is queried over exactly this range.

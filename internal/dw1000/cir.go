@@ -1,7 +1,6 @@
 package dw1000
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/dsp"
@@ -92,16 +91,4 @@ func (c *CIR) FirstPathIndex(factor float64) int {
 		}
 	}
 	return -1
-}
-
-// validateCIRGeometry keeps the package constants consistent with the
-// datasheet values quoted in the paper; it is exercised by tests.
-func validateCIRGeometry() error {
-	if math.Abs(SampleInterval-1.0016e-9) > 0.001e-9 {
-		return fmt.Errorf("dw1000: sample interval %g, want ~1.0016 ns", SampleInterval)
-	}
-	if math.Abs(WindowDuration-1017e-9) > 1e-9 {
-		return fmt.Errorf("dw1000: window %g, want ~1017 ns", WindowDuration)
-	}
-	return nil
 }

@@ -121,8 +121,11 @@ func TestTwoClocksDiverge(t *testing.T) {
 }
 
 func TestCIRGeometryMatchesPaper(t *testing.T) {
-	if err := validateCIRGeometry(); err != nil {
-		t.Fatal(err)
+	if math.Abs(SampleInterval-1.0016e-9) > 0.001e-9 {
+		t.Fatalf("sample interval %g, want ~1.0016 ns", SampleInterval)
+	}
+	if math.Abs(WindowDuration-1017e-9) > 1e-9 {
+		t.Fatalf("window %g, want ~1017 ns", WindowDuration)
 	}
 	if CIRLength != 1016 {
 		t.Fatalf("CIR length %d, want 1016 (Sect. VII)", CIRLength)

@@ -10,67 +10,35 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
-// FullBankConfig parameterizes the full-bank detector comparison.
+// FullBankConfig parameterizes the full-bank identification stream.
 type FullBankConfig struct {
-	// Trials is the number of CIRs each detector path processes
-	// (default 40).
+	// Trials is the number of single-responder CIRs each discipline
+	// processes (default 80).
 	Trials int
-	// Responders is the number of overlapping responses rendered into
-	// each CIR (default 3).
-	Responders int
 	// Seed drives the CIR generation.
 	Seed uint64
 }
 
-// FullBankResult compares the reference detector against the spectral
-// fast path on the largest supported template bank — all
-// pulse.NumShapes (108) DW1000 test-register shapes, the regime Sect. VII
-// targets where every responder needs a distinguishable pulse shape. Both
-// paths process identical CIRs through the batch engine; the result
-// records wall time per path and whether they agree on the decoded
-// responses. A second phase measures campaign throughput on a
-// single-responder identification stream (the Sect. V workload) through
-// three execution disciplines: a call-at-a-time loop that builds a
-// detector per call (the unshared pre-engine shape the future crservd
-// daemon must avoid), a warm loop reusing one detector, and the batch
-// engine. The batch results are verified bit-identical to the warm loop's
-// before any number is reported.
+// FullBankResult measures campaign throughput on the largest supported
+// template bank — all pulse.NumShapes (108) DW1000 test-register shapes,
+// the regime Sect. VII targets where every responder needs a
+// distinguishable pulse shape — for a single-responder identification
+// stream (the Sect. V workload) through two execution disciplines: a warm
+// loop reusing one detector, and the batch engine sharing per-length
+// setup across its worker pool. The batch results are verified
+// bit-identical to the warm loop's before any number is reported.
 type FullBankResult struct {
-	// Trials is the number of CIRs processed per path.
+	// Trials is the identification-stream length.
 	Trials int
 	// Templates is the bank size (pulse.NumShapes).
 	Templates int
 	// Workers is the batch engine's worker-pool size (GOMAXPROCS at run
 	// time).
 	Workers int
-	// ReferenceSeconds and SpectralSeconds are the total DetectBatch wall
-	// times per path.
-	ReferenceSeconds, SpectralSeconds float64
-	// Speedup is ReferenceSeconds / SpectralSeconds.
-	Speedup float64
-	// Agree counts trials where both paths returned equivalent
-	// detections: same response count, delays within half a sample and
-	// magnitudes within 2%. Template identity is tallied separately
-	// because adjacent DW1000 test-register shapes are near-identical
-	// pulses, so the argmax between neighboring templates is a numerical
-	// coin flip either path may call differently.
-	Agree int
-	// TemplateMatches counts responses (out of Responses) where both
-	// paths also picked the same template index.
-	TemplateMatches, Responses int
-	// MaxDelayDiff is the largest per-response delay difference between
-	// the paths across agreeing responses, seconds.
-	MaxDelayDiff float64
-	// IDCIRs is the identification-stream length (single-responder CIRs)
-	// each throughput discipline processes.
-	IDCIRs int
-	// CallPerSec, WarmPerSec, and BatchPerSec are identification-stream
-	// throughputs in CIRs/second: the call-at-a-time loop pays
-	// NewDetector (plans + 108 template spectra) on every call, the warm
-	// loop reuses one detector, and the batch engine shares per-length
-	// setup across its worker pool.
-	CallPerSec, WarmPerSec, BatchPerSec float64
-	// BatchSpeedup is BatchPerSec / CallPerSec.
+	// WarmPerSec and BatchPerSec are the stream throughputs in
+	// CIRs/second.
+	WarmPerSec, BatchPerSec float64
+	// BatchSpeedup is BatchPerSec / WarmPerSec.
 	BatchSpeedup float64
 }
 
@@ -110,38 +78,19 @@ func fullBankBatch(eng *core.BatchDetector, label string, inputs []core.BatchInp
 	return res, secs, nil
 }
 
-// FullBank runs the comparison.
+// FullBank runs the identification stream through both disciplines.
 func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	if cfg.Trials == 0 {
-		cfg.Trials = 40
-	}
-	if cfg.Responders == 0 {
-		cfg.Responders = 3
+		cfg.Trials = 80
 	}
 	bank, err := pulse.DefaultBank(dw1000.SampleInterval, pulse.NumShapes)
 	if err != nil {
 		return nil, err
 	}
-	// Identification-stream sizing: twice the comparison trials for a
-	// stable rate, and a small sample of the (much slower) call-at-a-time
-	// loop — its per-call cost has no per-item variance worth averaging.
-	idCIRs := 2 * cfg.Trials
-	callCIRs := max(3, cfg.Trials/5)
 	const warmup = 2
 
-	dcfg := core.DetectorConfig{MaxResponses: cfg.Responders}
-	dcfg.Mode = core.ModeReference
-	refEng, err := core.NewBatchDetector(bank, dcfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer refEng.Close()
-	dcfg.Mode = core.ModeSpectral
-	fastEng, err := core.NewBatchDetector(bank, dcfg, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer fastEng.Close()
+	// Single-responder CIRs, MaxResponses 1: identifying which responder
+	// answered, where a deployment processes CIRs by the thousand.
 	idCfg := core.DetectorConfig{MaxResponses: 1}
 	idEng, err := core.NewBatchDetector(bank, idCfg, 0)
 	if err != nil {
@@ -149,94 +98,29 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	}
 	defer idEng.Close()
 
-	m := newMeter(2*cfg.Trials + callCIRs + 2*idCIRs + warmup)
+	m := newMeter(cfg.Trials + warmup)
 	defer m.finish()
-	instrumentBatch(refEng, m)
-	instrumentBatch(fastEng, m)
 	instrumentBatch(idEng, m)
 
 	res := &FullBankResult{
 		Trials:    cfg.Trials,
 		Templates: bank.Len(),
 		Workers:   idEng.Workers(),
-		IDCIRs:    idCIRs,
 	}
-
-	// Phase 1: reference vs spectral on identical multi-responder CIRs.
-	inputs := make([]core.BatchInput, cfg.Trials)
-	for trial := range inputs {
-		inputs[trial].Taps, inputs[trial].NoiseRMS =
-			fullBankTrain(bank, cfg.Seed+uint64(trial)*9241, cfg.Responders)
-	}
-	refRes, refSecs, err := fullBankBatch(refEng, "reference", inputs)
-	if err != nil {
-		return nil, err
-	}
-	fastRes, fastSecs, err := fullBankBatch(fastEng, "spectral", inputs)
-	if err != nil {
-		return nil, err
-	}
-	res.ReferenceSeconds, res.SpectralSeconds = refSecs, fastSecs
-	for trial := range inputs {
-		want, got := refRes[trial].Responses, fastRes[trial].Responses
-		agree := len(got) == len(want)
-		for i := 0; agree && i < len(want); i++ {
-			d := math.Abs(got[i].Delay - want[i].Delay)
-			gm := math.Hypot(real(got[i].Amplitude), imag(got[i].Amplitude))
-			wm := math.Hypot(real(want[i].Amplitude), imag(want[i].Amplitude))
-			agree = d <= dw1000.SampleInterval/2 && math.Abs(gm-wm) <= 0.02*wm
-			if agree {
-				res.Responses++
-				res.MaxDelayDiff = math.Max(res.MaxDelayDiff, d)
-				if got[i].TemplateIndex == want[i].TemplateIndex {
-					res.TemplateMatches++
-				}
-			}
-		}
-		if agree {
-			res.Agree++
-		}
-	}
-	if res.SpectralSeconds > 0 {
-		res.Speedup = res.ReferenceSeconds / res.SpectralSeconds
-	}
-
-	// Phase 2: identification-stream throughput. Single-responder CIRs,
-	// MaxResponses 1 — the Sect. V workload of identifying which responder
-	// answered, where a deployment processes CIRs by the thousand.
-	idInputs := make([]core.BatchInput, idCIRs)
+	idInputs := make([]core.BatchInput, cfg.Trials)
 	for i := range idInputs {
 		idInputs[i].Taps, idInputs[i].NoiseRMS =
 			fullBankTrain(bank, cfg.Seed+500009+uint64(i)*9241, 1)
 	}
 
-	// Discipline A: call-at-a-time — a fresh detector per CIR, the cost
-	// profile of serving detections with no shared state.
-	callStart := wallNow()
-	for i := 0; i < callCIRs; i++ {
-		err := m.timeTrial(func() error {
-			det, err := core.NewDetector(bank, idCfg)
-			if err != nil {
-				return err
-			}
-			instrumentDetector(det)
-			_, err = det.Detect(idInputs[i].Taps, idInputs[i].NoiseRMS)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("call-at-a-time CIR %d: %w", i, err)
-		}
-	}
-	callSecs := wallSince(callStart).Seconds()
-
-	// Discipline B: warm loop — one detector reused across the stream.
-	// Its results double as the ground truth for the batch path.
+	// Warm loop: one detector reused across the stream. Its results
+	// double as the ground truth for the batch engine.
 	warmDet, err := core.NewDetector(bank, idCfg)
 	if err != nil {
 		return nil, err
 	}
 	instrumentDetector(warmDet)
-	warmResults := make([][]core.Response, idCIRs)
+	warmResults := make([][]core.Response, cfg.Trials)
 	warmStart := wallNow()
 	for i := range idInputs {
 		err := m.timeTrial(func() error {
@@ -250,9 +134,9 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	}
 	warmSecs := wallSince(warmStart).Seconds()
 
-	// Discipline C: the batch engine, after an untimed warmup batch that
-	// builds its per-worker detectors.
-	if _, _, err := fullBankBatch(idEng, "batch warmup", idInputs[:warmup]); err != nil {
+	// The batch engine, after an untimed warmup batch that builds its
+	// per-worker detectors.
+	if _, _, err := fullBankBatch(idEng, "batch warmup", idInputs[:min(warmup, len(idInputs))]); err != nil {
 		return nil, err
 	}
 	batchRes, batchSecs, err := fullBankBatch(idEng, "batch", idInputs)
@@ -273,47 +157,30 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 			}
 		}
 	}
-	if callSecs > 0 {
-		res.CallPerSec = float64(callCIRs) / callSecs
-	}
 	if warmSecs > 0 {
-		res.WarmPerSec = float64(idCIRs) / warmSecs
+		res.WarmPerSec = float64(cfg.Trials) / warmSecs
 	}
 	if batchSecs > 0 {
-		res.BatchPerSec = float64(idCIRs) / batchSecs
+		res.BatchPerSec = float64(cfg.Trials) / batchSecs
 	}
-	if res.CallPerSec > 0 {
-		res.BatchSpeedup = res.BatchPerSec / res.CallPerSec
+	if res.WarmPerSec > 0 {
+		res.BatchSpeedup = res.BatchPerSec / res.WarmPerSec
 	}
-	addBatchThroughput(idCIRs, batchSecs)
+	addBatchThroughput(cfg.Trials, batchSecs)
 	return res, nil
 }
 
-// Render formats the comparison.
+// Render formats the throughput table.
 func (r *FullBankResult) Render() string {
 	t := &Table{
-		Title: fmt.Sprintf("Full %d-shape bank — reference vs. spectral detector (%d trials, %d workers)",
-			r.Templates, r.Trials, r.Workers),
-		Header: []string{"path", "total Detect time", "per CIR"},
-		Rows: [][]string{
-			{"reference (per-round transforms)", fmt.Sprintf("%.3f s", r.ReferenceSeconds),
-				fmt.Sprintf("%.1f ms", 1e3*r.ReferenceSeconds/float64(r.Trials))},
-			{"spectral (shift-theorem residual)", fmt.Sprintf("%.3f s", r.SpectralSeconds),
-				fmt.Sprintf("%.1f ms", 1e3*r.SpectralSeconds/float64(r.Trials))},
-		},
-	}
-	id := &Table{
-		Title:  fmt.Sprintf("Identification-stream throughput (%d single-responder CIRs, MaxResponses 1)", r.IDCIRs),
+		Title: fmt.Sprintf("Full %d-shape bank — identification-stream throughput (%d single-responder CIRs, MaxResponses 1)",
+			r.Templates, r.Trials),
 		Header: []string{"discipline", "CIRs/s"},
 		Rows: [][]string{
-			{"call-at-a-time (detector built per call)", fmt.Sprintf("%.1f", r.CallPerSec)},
 			{"warm loop (one detector reused)", fmt.Sprintf("%.1f", r.WarmPerSec)},
 			{fmt.Sprintf("batch engine (%d workers, shared plans)", r.Workers), fmt.Sprintf("%.1f", r.BatchPerSec)},
 		},
 	}
-	return t.String() + fmt.Sprintf(
-		"speedup %.2f×; %d/%d trials equivalent (max delay diff %.3g ps); same template on %d/%d responses\n",
-		r.Speedup, r.Agree, r.Trials, r.MaxDelayDiff*1e12, r.TemplateMatches, r.Responses) +
-		id.String() + fmt.Sprintf("batch engine speedup over call-at-a-time: %.2f× (batch results bit-identical to the sequential loop)\n",
+	return t.String() + fmt.Sprintf("batch engine speedup over the warm loop: %.2f× (batch results bit-identical to the warm loop)\n",
 		r.BatchSpeedup)
 }

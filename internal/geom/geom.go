@@ -46,11 +46,6 @@ type Segment struct {
 // Length returns the segment length.
 func (s Segment) Length() float64 { return s.A.Dist(s.B) }
 
-// Midpoint returns the segment midpoint.
-func (s Segment) Midpoint() Point {
-	return Point{(s.A.X + s.B.X) / 2, (s.A.Y + s.B.Y) / 2}
-}
-
 // Direction returns the (unnormalized) direction vector B-A.
 func (s Segment) Direction() Point { return s.B.Sub(s.A) }
 

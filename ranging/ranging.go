@@ -111,14 +111,6 @@ type DetectorOptions struct {
 	// ThresholdFactor is the stop threshold in noise-RMS multiples
 	// (default 6).
 	ThresholdFactor float64
-	// Mode selects the detector search path: core.ModeAuto (default)
-	// picks the spectral fast path for large template banks and the
-	// exact reference path otherwise; core.ModeSpectral and
-	// core.ModeReference force one.
-	Mode core.DetectorMode
-	// Workers bounds the parallel template fan-out per detection
-	// (0 = automatic: GOMAXPROCS for large banks, serial otherwise).
-	Workers int
 }
 
 // Scenario is a mutable deployment description.
@@ -266,8 +258,6 @@ func (s *Scenario) Build() (*Session, error) {
 		Upsample:        s.cfg.Detector.Upsample,
 		MaxResponses:    s.cfg.Detector.MaxResponses,
 		ThresholdFactor: s.cfg.Detector.ThresholdFactor,
-		Mode:            s.cfg.Detector.Mode,
-		Workers:         s.cfg.Detector.Workers,
 	})
 	if err != nil {
 		return nil, err

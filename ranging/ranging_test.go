@@ -3,8 +3,6 @@ package ranging
 import (
 	"math"
 	"testing"
-
-	"github.com/uwb-sim/concurrent-ranging/internal/core"
 )
 
 func closeTo(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -28,6 +26,12 @@ func TestScenarioValidation(t *testing.T) {
 	bad.AddResponder(0, 3, 1)
 	if _, err := bad.Build(); err == nil {
 		t.Error("unknown environment accepted")
+	}
+	badDet := NewScenario(Config{Detector: DetectorOptions{Upsample: -1}})
+	badDet.SetInitiator(1, 1)
+	badDet.AddResponder(0, 3, 1)
+	if _, err := badDet.Build(); err == nil {
+		t.Error("invalid detector options accepted")
 	}
 	over := NewScenario(Config{MaxRange: 75, NumShapes: 3})
 	over.SetInitiator(1, 1)
@@ -276,57 +280,5 @@ func TestRunSetsHasTruth(t *testing.T) {
 		if m.ResponderID >= 0 && !m.HasTruth {
 			t.Errorf("responder %d: matched measurement without HasTruth", m.ResponderID)
 		}
-	}
-}
-
-// TestDetectorModePassthrough: the Detector Mode/Workers options must
-// reach the core detector, and every mode must measure the same
-// distances on the same scenario.
-func TestDetectorModePassthrough(t *testing.T) {
-	build := func(mode core.DetectorMode, workers int) *Result {
-		sc := NewScenario(Config{
-			Environment:      EnvHallway,
-			Seed:             7,
-			IdealTransceiver: true,
-			Detector:         DetectorOptions{MaxResponses: 2, Mode: mode, Workers: workers},
-		})
-		sc.SetInitiator(2, 1.2)
-		sc.AddResponder(0, 5, 1.2)
-		sc.AddResponder(1, 8, 1.2)
-		session, err := sc.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := session.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := build(core.ModeReference, 1)
-	if len(ref.Measurements) < 2 {
-		t.Fatalf("%d measurements, want ≥ 2", len(ref.Measurements))
-	}
-	for _, mode := range []core.DetectorMode{core.ModeAuto, core.ModeSpectral} {
-		got := build(mode, 2)
-		if len(got.Measurements) != len(ref.Measurements) {
-			t.Fatalf("mode %d: %d measurements, reference %d", mode, len(got.Measurements), len(ref.Measurements))
-		}
-		for i, m := range got.Measurements {
-			if !closeTo(m.Distance, ref.Measurements[i].Distance, 1e-3) {
-				t.Fatalf("mode %d measurement %d: %g, reference %g",
-					mode, i, m.Distance, ref.Measurements[i].Distance)
-			}
-		}
-	}
-	if _, err := NewScenario(Config{}).Build(); err == nil {
-		t.Error("sanity: empty scenario accepted")
-	}
-	// Invalid detector options must surface from Build.
-	bad := NewScenario(Config{Detector: DetectorOptions{Workers: -1}})
-	bad.SetInitiator(1, 1)
-	bad.AddResponder(0, 3, 1)
-	if _, err := bad.Build(); err == nil {
-		t.Error("negative Workers accepted")
 	}
 }
