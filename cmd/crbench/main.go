@@ -51,24 +51,33 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/obs/trace"
 )
 
-type runner func(trials int, seed uint64) (string, error)
+// runFunc executes one experiment, sets the typed report fields its
+// result carries on er, and returns the rendered text.
+type runFunc func(trials int, seed uint64, er *obs.ExperimentReport) (string, error)
 
-var runners = map[string]runner{
-	"fig1": func(int, uint64) (string, error) {
-		r, err := experiments.Fig1()
+// experiment is one crbench entry.
+type experiment struct {
+	name string
+	run  runFunc
+}
+
+// single adapts an experiment whose one result only renders as text.
+func single[R interface{ Render() string }](fn func(trials int, seed uint64) (R, error)) runFunc {
+	return func(trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
+		r, err := fn(trials, seed)
 		if err != nil {
 			return "", err
 		}
 		return r.Render(), nil
-	},
-	"fig2": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Fig2(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec3": func(int, uint64) (string, error) {
+	}
+}
+
+// experimentList holds every experiment in paper order, which is also the
+// run-everything order.
+var experimentList = []experiment{
+	{"fig1", single(func(int, uint64) (*experiments.Fig1Result, error) { return experiments.Fig1() })},
+	{"fig2", single(func(_ int, seed uint64) (*experiments.Fig2Result, error) { return experiments.Fig2(seed) })},
+	{"sec3", func(int, uint64, *obs.ExperimentReport) (string, error) {
 		d, err := experiments.Sec3Delay()
 		if err != nil {
 			return "", err
@@ -78,8 +87,8 @@ var runners = map[string]runner{
 			return "", err
 		}
 		return d.Render() + m.Render(), nil
-	},
-	"fig4": func(trials int, seed uint64) (string, error) {
+	}},
+	{"fig4", func(trials int, seed uint64, _ *obs.ExperimentReport) (string, error) {
 		real, err := experiments.Fig4(experiments.Fig4Config{Trials: trials, Seed: seed})
 		if err != nil {
 			return "", err
@@ -92,121 +101,61 @@ var runners = map[string]runner{
 		}
 		return "--- DW1000 delayed-TX quantization ---\n" + real.Render() +
 			"--- ideal transceiver ---\n" + ideal.Render(), nil
-	},
-	"fig5": func(int, uint64) (string, error) {
-		r, err := experiments.Fig5()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec5": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Sec5(experiments.Sec5Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig6": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Fig6(seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"table1": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Table1(experiments.Table1Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec6": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Sec6(experiments.Sec6Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec7": func(int, uint64) (string, error) {
-		r, err := experiments.Sec7(nil)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fig8": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Fig8(experiments.Fig8Config{Trials: trials, Seed: seed})
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"sec8": func(int, uint64) (string, error) {
-		r, err := experiments.Sec8()
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"campaign": func(_ int, seed uint64) (string, error) {
-		r, err := experiments.Campaign(nil, seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"capture": func(trials int, seed uint64) (string, error) {
-		r, err := experiments.Capture(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	},
-	"fullbank": func(trials int, seed uint64) (string, error) {
+	}},
+	{"fig5", single(func(int, uint64) (*experiments.Fig5Result, error) { return experiments.Fig5() })},
+	{"sec5", single(func(trials int, seed uint64) (*experiments.Sec5Result, error) {
+		return experiments.Sec5(experiments.Sec5Config{Trials: trials, Seed: seed})
+	})},
+	{"fig6", single(func(_ int, seed uint64) (*experiments.Fig6Result, error) { return experiments.Fig6(seed) })},
+	{"table1", single(func(trials int, seed uint64) (*experiments.Table1Result, error) {
+		return experiments.Table1(experiments.Table1Config{Trials: trials, Seed: seed})
+	})},
+	{"sec6", single(func(trials int, seed uint64) (*experiments.Sec6Result, error) {
+		return experiments.Sec6(experiments.Sec6Config{Trials: trials, Seed: seed})
+	})},
+	{"sec7", single(func(int, uint64) (*experiments.Sec7Result, error) { return experiments.Sec7(nil) })},
+	{"fig8", single(func(trials int, seed uint64) (*experiments.Fig8Result, error) {
+		return experiments.Fig8(experiments.Fig8Config{Trials: trials, Seed: seed})
+	})},
+	{"sec8", single(func(int, uint64) (*experiments.Sec8Result, error) { return experiments.Sec8() })},
+	{"campaign", single(func(_ int, seed uint64) (*experiments.CampaignResult, error) {
+		return experiments.Campaign(nil, seed)
+	})},
+	{"capture", single(experiments.Capture)},
+	{"fullbank", func(trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
 		r, err := experiments.FullBank(experiments.FullBankConfig{Trials: trials, Seed: seed})
 		if err != nil {
 			return "", err
 		}
+		er.CIRsPerSecond = r.BatchPerSec
 		return r.Render(), nil
-	},
-	"swarm": func(trials int, seed uint64) (string, error) {
+	}},
+	{"swarm", func(trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
 		r, err := experiments.SwarmScale(experiments.SwarmScaleConfig{Trials: trials, Seed: seed})
 		if err != nil {
 			return "", err
 		}
+		er.EventsPerSecond, er.RoundsPerSecond = r.Throughput()
+		r.Profile.FillReport(er)
 		return r.Render(), nil
-	},
-	"ablation": func(trials int, seed uint64) (string, error) {
-		up, err := experiments.AblationUpsample(trials, seed)
-		if err != nil {
-			return "", err
+	}},
+	{"ablation", func(trials int, seed uint64, er *obs.ExperimentReport) (string, error) {
+		var out string
+		for _, part := range []runFunc{
+			single(experiments.AblationUpsample),
+			single(experiments.AblationQuantization),
+			single(experiments.AblationThreshold),
+			single(experiments.AblationRefinement),
+			single(experiments.AblationSlotPlan),
+		} {
+			text, err := part(trials, seed, er)
+			if err != nil {
+				return "", err
+			}
+			out += text
 		}
-		q, err := experiments.AblationQuantization(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		th, err := experiments.AblationThreshold(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		ref, err := experiments.AblationRefinement(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		sp, err := experiments.AblationSlotPlan(trials, seed)
-		if err != nil {
-			return "", err
-		}
-		return up.Render() + q.Render() + th.Render() + ref.Render() + sp.Render(), nil
-	},
-}
-
-// order lists the experiments in paper order for the run-everything mode.
-var order = []string{
-	"fig1", "fig2", "sec3", "fig4", "fig5", "sec5", "fig6",
-	"table1", "sec6", "sec7", "fig8", "sec8", "campaign", "capture",
-	"fullbank", "swarm", "ablation",
+		return out, nil
+	}},
 }
 
 func main() {
@@ -219,13 +168,13 @@ func main() {
 	traceSample := flag.Int("trace-sample", 1, "record every Nth root span in the flight recorder")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: crbench [-trials N] [-seed S] [-json path] [-progress] [-pprof addr] [-tracefile path] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "experiments: %s (default: all)\n", strings.Join(order, " "))
+		fmt.Fprintf(os.Stderr, "experiments: %s (default: all)\n", strings.Join(experimentNames(), " "))
 		flag.PrintDefaults()
 	}
 	flag.Parse()
 	names := flag.Args()
 	if len(names) == 0 {
-		names = order
+		names = experimentNames()
 	}
 	cfg := runConfig{
 		Trials:      *trials,
@@ -242,6 +191,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "crbench:", err)
 		os.Exit(1)
 	}
+}
+
+// experimentNames lists the experiment names in run-everything order.
+func experimentNames() []string {
+	names := make([]string, len(experimentList))
+	for i, e := range experimentList {
+		names[i] = e.name
+	}
+	return names
+}
+
+// lookup finds the named experiment (names are lowercase).
+func lookup(name string) (experiment, bool) {
+	for _, e := range experimentList {
+		if e.name == name {
+			return e, true
+		}
+	}
+	return experiment{}, false
 }
 
 // runConfig collects the flag-derived settings so tests can drive run
@@ -262,13 +230,13 @@ type runConfig struct {
 // returns the populated run report (also written to cfg.JSONPath when
 // set). Unknown names fail before any experiment does work.
 func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
-	selected := make([]runner, len(names))
+	selected := make([]experiment, len(names))
 	for i, name := range names {
-		r, ok := runners[strings.ToLower(name)]
+		e, ok := lookup(strings.ToLower(name))
 		if !ok {
-			return nil, fmt.Errorf("unknown experiment %q (have: %s)", name, strings.Join(order, " "))
+			return nil, fmt.Errorf("unknown experiment %q (have: %s)", name, strings.Join(experimentNames(), " "))
 		}
-		selected[i] = r
+		selected[i] = e
 	}
 
 	reg := obs.NewRegistry()
@@ -293,18 +261,14 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 	}
 	var flight *trace.Tracer
 	if cfg.TraceFile != "" {
-		f, ferr := os.Create(cfg.TraceFile)
+		tr, closeTrace, ferr := trace.CreateFile(cfg.TraceFile, trace.Config{SampleEvery: cfg.TraceSample})
 		if ferr != nil {
 			return nil, fmt.Errorf("tracefile: %w", ferr)
 		}
-		flight = trace.New(trace.Config{Writer: f, SampleEvery: cfg.TraceSample})
+		flight = tr
 		flight.SetMetrics(reg)
 		defer func() {
-			ferr := flight.Flush()
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-			if ferr != nil && err == nil {
+			if ferr := closeTrace(); ferr != nil && err == nil {
 				report, err = nil, fmt.Errorf("tracefile: %w", ferr)
 			}
 			st := flight.Stats()
@@ -313,11 +277,6 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 		}()
 	}
 	printer := newProgressPrinter(cfg.Stderr, cfg.Progress)
-	experiments.SetInstrumentation(&experiments.Instrumentation{
-		Recorder: reg,
-		Progress: printer.update,
-		Flight:   flight,
-	})
 	defer experiments.SetInstrumentation(nil)
 
 	// -json - dedicates stdout to the report alone; the rendered tables
@@ -328,39 +287,26 @@ func run(names []string, cfg runConfig) (report *obs.RunReport, err error) {
 	}
 
 	report = obs.NewRunReport("crbench", cfg.Seed, cfg.Trials)
-	experiments.TakeBatchThroughput() // discard any stale tally
-	experiments.TakeSwarmThroughput()
-	experiments.TakeEngineProfile()
 	start := time.Now()
-	for i, name := range names {
-		printer.setLabel(name)
-		experiments.SetActiveExperiment(strings.ToLower(name))
+	for i, e := range selected {
+		printer.setLabel(names[i])
+		// A fresh Instrumentation per experiment names it, so campaign
+		// trials are labeled with the experiment they belong to.
+		experiments.SetInstrumentation(&experiments.Instrumentation{
+			Recorder:   reg,
+			Progress:   printer.update,
+			Flight:     flight,
+			Experiment: e.name,
+		})
 		t0 := time.Now()
-		out, err := selected[i](cfg.Trials, cfg.Seed)
-		experiments.SetActiveExperiment("")
+		er := obs.ExperimentReport{Name: e.name}
+		out, err := e.run(cfg.Trials, cfg.Seed, &er)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, fmt.Errorf("%s: %w", names[i], err)
 		}
 		printer.clear()
-		er := obs.ExperimentReport{
-			Name:        strings.ToLower(name),
-			WallSeconds: time.Since(t0).Seconds(),
-			OutputBytes: len(out),
-		}
-		if cirs, secs := experiments.TakeBatchThroughput(); cirs > 0 && secs > 0 {
-			er.CIRsPerSecond = float64(cirs) / secs
-		}
-		if events, rounds, secs := experiments.TakeSwarmThroughput(); events > 0 && secs > 0 {
-			er.EventsPerSecond = float64(events) / secs
-			er.RoundsPerSecond = float64(rounds) / secs
-		}
-		if prof := experiments.TakeEngineProfile(); prof != nil {
-			er.EngineParallelEfficiency = prof.ParallelEfficiency
-			er.EngineBarrierStallPct = prof.BarrierStallPct
-			er.EngineDrainPct = prof.DrainPct
-			er.EngineCriticalShard = prof.CriticalShard
-			er.EngineCriticalShardPct = 100 * prof.CriticalShardShare
-		}
+		er.WallSeconds = time.Since(t0).Seconds()
+		er.OutputBytes = len(out)
 		report.Experiments = append(report.Experiments, er)
 		fmt.Fprint(tableW, out)
 		fmt.Fprintln(tableW)

@@ -24,18 +24,20 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 }
 
 func TestEveryListedExperimentHasARunner(t *testing.T) {
-	for _, name := range order {
-		if _, ok := runners[name]; !ok {
-			t.Errorf("experiment %q listed but has no runner", name)
+	seen := map[string]bool{}
+	for _, e := range experimentList {
+		if e.run == nil {
+			t.Errorf("experiment %q listed but has no runner", e.name)
 		}
-	}
-	if len(order) != len(runners) {
-		t.Errorf("%d listed vs %d registered", len(order), len(runners))
+		if e.name != strings.ToLower(e.name) || seen[e.name] {
+			t.Errorf("experiment name %q is not lowercase and unique", e.name)
+		}
+		seen[e.name] = true
 	}
 }
 
 func TestPackageDocListsEveryExperiment(t *testing.T) {
-	// The doc comment's experiment list must track the order slice
+	// The doc comment's experiment list must track experimentList
 	// ("capture" was once missing from it).
 	data, err := os.ReadFile("main.go")
 	if err != nil {
@@ -45,7 +47,7 @@ func TestPackageDocListsEveryExperiment(t *testing.T) {
 	if !found {
 		t.Fatal("no package clause in main.go")
 	}
-	for _, name := range order {
+	for _, name := range experimentNames() {
 		if !strings.Contains(doc, name) {
 			t.Errorf("package doc does not mention experiment %q", name)
 		}
@@ -155,5 +157,39 @@ func TestProgressPrinterWritesToSink(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "sec5") || !strings.Contains(out, "/12 trials") {
 		t.Fatalf("progress stream missing expected content: %q", out)
+	}
+}
+
+func TestThroughputReportFieldsComeFromResults(t *testing.T) {
+	// fullbank and swarm carry their measured throughput (and swarm its
+	// engine diagnosis) into their own report entries and nowhere else.
+	report, err := run([]string{"fig5", "fullbank", "swarm", "sec7"}, testConfig(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range report.Experiments {
+		switch e.Name {
+		case "fullbank":
+			if e.CIRsPerSecond <= 0 {
+				t.Errorf("fullbank cirs_per_second = %g, want > 0", e.CIRsPerSecond)
+			}
+			if e.EventsPerSecond != 0 || e.RoundsPerSecond != 0 || e.EngineParallelEfficiency != 0 {
+				t.Errorf("fullbank carries swarm fields: %+v", e)
+			}
+		case "swarm":
+			if e.EventsPerSecond <= 0 || e.RoundsPerSecond <= 0 {
+				t.Errorf("swarm events/rounds per second = %g/%g, want > 0", e.EventsPerSecond, e.RoundsPerSecond)
+			}
+			if eff := e.EngineParallelEfficiency; eff <= 0 || eff > 1.2 {
+				t.Errorf("swarm engine_parallel_efficiency = %g, want in (0, 1.2]", eff)
+			}
+			if e.CIRsPerSecond != 0 {
+				t.Errorf("swarm carries cirs_per_second %g", e.CIRsPerSecond)
+			}
+		default:
+			if e.CIRsPerSecond != 0 || e.EventsPerSecond != 0 || e.RoundsPerSecond != 0 || e.EngineParallelEfficiency != 0 {
+				t.Errorf("experiment %s carries throughput fields: %+v", e.Name, e)
+			}
+		}
 	}
 }

@@ -189,18 +189,13 @@ func run() (err error) {
 		session.SetTracer(func(e ranging.TraceEvent) { fmt.Println("  " + e.String()) })
 	}
 	if *traceFile != "" {
-		f, ferr := os.Create(*traceFile)
+		tr, closeTrace, ferr := trace.CreateFile(*traceFile, trace.Config{SampleEvery: *traceSample})
 		if ferr != nil {
 			return fmt.Errorf("tracefile: %w", ferr)
 		}
-		tr := trace.New(trace.Config{Writer: f, SampleEvery: *traceSample})
 		session.SetFlightRecorder(tr)
 		defer func() {
-			ferr := tr.Flush()
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-			if ferr != nil && err == nil {
+			if ferr := closeTrace(); ferr != nil && err == nil {
 				err = fmt.Errorf("tracefile: %w", ferr)
 			}
 			st := tr.Stats()
@@ -295,19 +290,14 @@ func runSwarm(opts swarmOptions) (err error) {
 		fmt.Fprintf(os.Stderr, "crsim: debug server on http://%s/debug/pprof/ (/metrics, /debug/metrics.json)\n", dbg.Addr)
 	}
 	if opts.traceFile != "" {
-		f, ferr := os.Create(opts.traceFile)
+		tr, closeTrace, ferr := trace.CreateFile(opts.traceFile, trace.Config{SampleEvery: opts.traceSample})
 		if ferr != nil {
 			return fmt.Errorf("tracefile: %w", ferr)
 		}
-		tr := trace.New(trace.Config{Writer: f, SampleEvery: opts.traceSample})
 		tr.SetMetrics(reg)
 		sw.SetFlightRecorder(tr)
 		defer func() {
-			ferr := tr.Flush()
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-			if ferr != nil && err == nil {
+			if ferr := closeTrace(); ferr != nil && err == nil {
 				err = fmt.Errorf("tracefile: %w", ferr)
 			}
 			st := tr.Stats()
@@ -400,13 +390,7 @@ func writeSwarmReport(opts swarmOptions, reg *obs.Registry, sw *sim.Swarm, res *
 		er.EventsPerSecond = float64(res.Events) / secs
 		er.RoundsPerSecond = float64(res.Stats.RoundsCompleted) / secs
 	}
-	if profile != nil {
-		er.EngineParallelEfficiency = profile.ParallelEfficiency
-		er.EngineBarrierStallPct = profile.BarrierStallPct
-		er.EngineDrainPct = profile.DrainPct
-		er.EngineCriticalShard = profile.CriticalShard
-		er.EngineCriticalShardPct = 100 * profile.CriticalShardShare
-	}
+	profile.FillReport(&er)
 	report.Experiments = append(report.Experiments, er)
 	report.Finish(reg.Snapshot(), wall)
 	if err := report.Validate(); err != nil {

@@ -14,16 +14,6 @@ func Abs(v []complex128) []float64 {
 	return out
 }
 
-// AbsSq returns the element-wise squared magnitude of v as a new slice.
-// It avoids the square root of Abs and is preferred for energy comparisons.
-func AbsSq(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, c := range v {
-		out[i] = real(c)*real(c) + imag(c)*imag(c)
-	}
-	return out
-}
-
 // Scale multiplies every element of v by s in place and returns v.
 func Scale(v []complex128, s complex128) []complex128 {
 	for i := range v {
@@ -97,16 +87,6 @@ func NormalizeEnergyReal(v []float64) []float64 {
 	return ScaleReal(v, 1/math.Sqrt(e))
 }
 
-// NormalizePeak scales v in place so that its maximum magnitude is 1 and
-// returns v. A zero vector is returned unchanged.
-func NormalizePeak(v []complex128) []complex128 {
-	m := MaxAbs(v)
-	if m == 0 {
-		return v
-	}
-	return Scale(v, complex(1/m, 0))
-}
-
 // MaxAbs returns the maximum element magnitude of v (0 for an empty slice).
 func MaxAbs(v []complex128) float64 {
 	var m float64
@@ -148,24 +128,6 @@ func Reverse(v []complex128) []complex128 {
 	out := make([]complex128, len(v))
 	for i, c := range v {
 		out[len(v)-1-i] = c
-	}
-	return out
-}
-
-// ToComplex widens a real signal to a complex one with zero imaginary parts.
-func ToComplex(v []float64) []complex128 {
-	out := make([]complex128, len(v))
-	for i, x := range v {
-		out[i] = complex(x, 0)
-	}
-	return out
-}
-
-// RealPart extracts the real parts of v as a new slice.
-func RealPart(v []complex128) []float64 {
-	out := make([]float64, len(v))
-	for i, c := range v {
-		out[i] = real(c)
 	}
 	return out
 }

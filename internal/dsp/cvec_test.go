@@ -14,10 +14,6 @@ func TestAbsAndAbsSq(t *testing.T) {
 	if !closeTo(abs[0], 5, 1e-12) || abs[1] != 0 || !closeTo(abs[2], 1, 1e-12) {
 		t.Fatalf("Abs = %v", abs)
 	}
-	sq := AbsSq(v)
-	if !closeTo(sq[0], 25, 1e-12) || sq[1] != 0 || !closeTo(sq[2], 1, 1e-12) {
-		t.Fatalf("AbsSq = %v", sq)
-	}
 }
 
 func TestScaleAndAddSub(t *testing.T) {
@@ -49,7 +45,6 @@ func TestEnergyAndNormalization(t *testing.T) {
 	// Zero vectors must survive normalization unchanged.
 	z := []complex128{0, 0}
 	NormalizeEnergy(z)
-	NormalizePeak(z)
 	if z[0] != 0 || z[1] != 0 {
 		t.Fatal("zero vector mutated")
 	}
@@ -57,14 +52,6 @@ func TestEnergyAndNormalization(t *testing.T) {
 	NormalizeEnergyReal(r)
 	if r[0] != 0 {
 		t.Fatal("zero real vector mutated")
-	}
-}
-
-func TestNormalizePeak(t *testing.T) {
-	v := []complex128{1, -2, 0.5i}
-	NormalizePeak(v)
-	if got := MaxAbs(v); !closeTo(got, 1, 1e-12) {
-		t.Fatalf("peak after normalization = %g", got)
 	}
 }
 
@@ -96,28 +83,6 @@ func TestConjReverseClone(t *testing.T) {
 	cl[0] = 99
 	if v[0] == 99 {
 		t.Fatal("Clone aliases input")
-	}
-}
-
-func TestToComplexRealPartRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 11))
-		n := r.IntN(64)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = r.NormFloat64()
-		}
-		back := RealPart(ToComplex(v))
-		for i := range v {
-			if back[i] != v[i] {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 30, Rand: mrand.New(mrand.NewSource(47))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -166,7 +166,6 @@ func FullBank(cfg FullBankConfig) (*FullBankResult, error) {
 	if res.WarmPerSec > 0 {
 		res.BatchSpeedup = res.BatchPerSec / res.WarmPerSec
 	}
-	addBatchThroughput(cfg.Trials, batchSecs)
 	return res, nil
 }
 

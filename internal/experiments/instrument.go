@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +18,7 @@ const (
 	// MetricTrials counts completed Monte-Carlo trials.
 	MetricTrials = "experiments.trials"
 	// MetricTrialsByExperiment is the labeled companion of MetricTrials:
-	// trials counted per active experiment (see SetActiveExperiment).
+	// trials counted per experiment (see Instrumentation.Experiment).
 	// Recorded only when the installed Recorder supports labeled series
 	// (obs.VecSource; the Registry does).
 	MetricTrialsByExperiment = "experiments.experiment_trials"
@@ -30,26 +29,6 @@ const (
 	MetricCampaignDoneLive  = "experiments.campaign_done" + obs.LiveMetricSuffix
 	MetricCampaignTotalLive = "experiments.campaign_total" + obs.LiveMetricSuffix
 )
-
-// activeExperiment names the experiment currently running, for labeling
-// ambient metrics. Like the Instrumentation itself it is deliberately
-// ambient: harnesses (crbench) bracket each runner with
-// SetActiveExperiment(name) / SetActiveExperiment("") and the meter picks
-// the name up when a campaign starts.
-var activeExperiment atomic.Value // string
-
-// SetActiveExperiment declares which experiment subsequent campaigns
-// belong to, so per-experiment labeled metrics attribute trials
-// correctly. The empty string clears it.
-func SetActiveExperiment(name string) { activeExperiment.Store(name) }
-
-// ActiveExperiment returns the declared experiment name, or "".
-func ActiveExperiment() string {
-	if v := activeExperiment.Load(); v != nil {
-		return v.(string)
-	}
-	return ""
-}
 
 // Progress is one campaign progress update.
 type Progress struct {
@@ -84,6 +63,11 @@ type Instrumentation struct {
 	// detector runs open trace spans on it (a *trace.Tracer is safe for
 	// concurrent use).
 	Flight *trace.Tracer
+	// Experiment names the experiment the instrumentation is installed
+	// for; campaigns label their per-experiment trial counts with it.
+	// Empty leaves the trials unlabeled. Harnesses (crbench) install a
+	// fresh Instrumentation per experiment.
+	Experiment string
 }
 
 // instr holds the installed instrumentation. Experiments are pure
@@ -93,7 +77,8 @@ type Instrumentation struct {
 var instr atomic.Pointer[Instrumentation]
 
 // SetInstrumentation installs the package instrumentation (nil disables).
-// Install before starting experiments; crbench does this once at startup.
+// Install before starting experiments; crbench installs one per
+// experiment, naming it in Experiment.
 func SetInstrumentation(in *Instrumentation) { instr.Store(in) }
 
 // recorder returns the installed Recorder or nil.
@@ -154,93 +139,6 @@ func instrumentBatch(bd *core.BatchDetector, m *meter) *core.BatchDetector {
 	return bd
 }
 
-// batchTally accumulates the batch-path throughput measured by the most
-// recent experiment, for crbench to surface as the per-experiment
-// cirs_per_second report field. The numbers are wall-derived, so the
-// resulting field is a wall-time-class field StripWallTime zeroes.
-var batchTally struct {
-	mu      sync.Mutex
-	cirs    int
-	seconds float64
-}
-
-// addBatchThroughput adds one timed batch run to the tally.
-func addBatchThroughput(cirs int, seconds float64) {
-	batchTally.mu.Lock()
-	batchTally.cirs += cirs
-	batchTally.seconds += seconds
-	batchTally.mu.Unlock()
-}
-
-// TakeBatchThroughput returns the accumulated batch throughput sample
-// (CIRs processed and wall seconds spent) and resets the tally, so a
-// harness can attribute it to the experiment that just ran.
-func TakeBatchThroughput() (cirs int, seconds float64) {
-	batchTally.mu.Lock()
-	cirs, seconds = batchTally.cirs, batchTally.seconds
-	batchTally.cirs, batchTally.seconds = 0, 0
-	batchTally.mu.Unlock()
-	return cirs, seconds
-}
-
-// swarmTally accumulates the sharded-engine throughput measured by the
-// most recent swarm experiment, for crbench to surface as the
-// per-experiment events_per_second / rounds_per_second report fields.
-// Wall-derived, so those fields are wall-time-class and StripWallTime
-// zeroes them.
-var swarmTally struct {
-	mu      sync.Mutex
-	events  int
-	rounds  int
-	seconds float64
-}
-
-// addSwarmThroughput adds one timed swarm run to the tally.
-func addSwarmThroughput(events, rounds int, seconds float64) {
-	swarmTally.mu.Lock()
-	swarmTally.events += events
-	swarmTally.rounds += rounds
-	swarmTally.seconds += seconds
-	swarmTally.mu.Unlock()
-}
-
-// TakeSwarmThroughput returns the accumulated swarm throughput sample
-// (events executed, rounds completed, wall seconds) and resets the tally.
-func TakeSwarmThroughput() (events, rounds int, seconds float64) {
-	swarmTally.mu.Lock()
-	events, rounds, seconds = swarmTally.events, swarmTally.rounds, swarmTally.seconds
-	swarmTally.events, swarmTally.rounds, swarmTally.seconds = 0, 0, 0
-	swarmTally.mu.Unlock()
-	return events, rounds, seconds
-}
-
-// engineTally holds the sharded-engine scaling diagnosis measured by the
-// most recent profiled run, for crbench to surface as the experiment's
-// engine_* report fields. Wall-derived, so those fields are
-// wall-time-class and StripWallTime zeroes them.
-var engineTally struct {
-	mu   sync.Mutex
-	prof *sim.EngineProfile
-}
-
-// addEngineProfile records the latest profiled run's diagnosis (the most
-// recent call wins; the swarm sweep profiles its largest point last).
-func addEngineProfile(p *sim.EngineProfile) {
-	engineTally.mu.Lock()
-	engineTally.prof = p
-	engineTally.mu.Unlock()
-}
-
-// TakeEngineProfile returns the latest engine diagnosis and resets the
-// tally (nil when no profiled run happened since the last take).
-func TakeEngineProfile() *sim.EngineProfile {
-	engineTally.mu.Lock()
-	p := engineTally.prof
-	engineTally.prof = nil
-	engineTally.mu.Unlock()
-	return p
-}
-
 // wallNow is this package's single sanctioned wall-clock read. Every
 // duration derived from it flows into progress callbacks or a *_seconds
 // field/metric, all of which StripWallTime removes from run reports, so
@@ -266,8 +164,8 @@ type meter struct {
 	progress ProgressFunc
 	rec      obs.Recorder
 	// expTrials is the per-experiment labeled trial counter, resolved
-	// once at campaign start (nil when no experiment is active or the
-	// Recorder has no labeled series).
+	// once at campaign start (nil when the Instrumentation names no
+	// experiment or the Recorder has no labeled series).
 	expTrials *obs.Counter
 }
 
@@ -281,8 +179,8 @@ func newMeter(total int) *meter {
 	m := &meter{total: total, start: wallNow(), progress: in.Progress, rec: in.Recorder}
 	if m.rec != nil {
 		if vs, ok := m.rec.(obs.VecSource); ok {
-			if name := ActiveExperiment(); name != "" {
-				m.expTrials = vs.CounterVec(MetricTrialsByExperiment, "experiment").With(name)
+			if in.Experiment != "" {
+				m.expTrials = vs.CounterVec(MetricTrialsByExperiment, "experiment").With(in.Experiment)
 			}
 		}
 		m.rec.SetGauge(MetricCampaignTotalLive, float64(total))

@@ -143,30 +143,18 @@ func TestMeterClampAndTerminalUpdate(t *testing.T) {
 	nilMeter.finish()
 }
 
-func TestActiveExperimentRoundTrip(t *testing.T) {
-	SetActiveExperiment("fig4")
-	t.Cleanup(func() { SetActiveExperiment("") })
-	if got := ActiveExperiment(); got != "fig4" {
-		t.Fatalf("ActiveExperiment() = %q, want fig4", got)
-	}
-	SetActiveExperiment("")
-	if got := ActiveExperiment(); got != "" {
-		t.Fatalf("ActiveExperiment() after clear = %q, want empty", got)
-	}
-}
-
 func TestMeterLabelsTrialsByExperiment(t *testing.T) {
 	reg := obs.NewRegistry()
-	withInstrumentation(t, &Instrumentation{Recorder: reg})
-	SetActiveExperiment("sec5")
-	t.Cleanup(func() { SetActiveExperiment("") })
+	withInstrumentation(t, &Instrumentation{Recorder: reg, Experiment: "sec5"})
 
 	m := newMeter(3)
-	for i := 0; i < 3; i++ {
-		m.trialDone(0)
-	}
+	m.trialDone(0)
+	m.trialDone(0)
+	// A meter resolves its label at campaign start: installing the next
+	// experiment's instrumentation relabels later campaigns only.
+	SetInstrumentation(&Instrumentation{Recorder: reg, Experiment: "fig4"})
+	m.trialDone(0)
 	m.finish()
-	SetActiveExperiment("fig4")
 	m2 := newMeter(2)
 	m2.trialDone(0)
 	m2.finish()
@@ -187,7 +175,6 @@ func TestMeterLabelsTrialsByExperiment(t *testing.T) {
 func TestMeterWithoutActiveExperimentStaysUnlabeled(t *testing.T) {
 	reg := obs.NewRegistry()
 	withInstrumentation(t, &Instrumentation{Recorder: reg})
-	SetActiveExperiment("")
 
 	m := newMeter(2)
 	m.trialDone(0)

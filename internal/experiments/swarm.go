@@ -51,13 +51,34 @@ type SwarmScalePoint struct {
 // the Sect. VIII combined scheme against the responders in range) are
 // simulated on the spatially sharded engine, once with 1 worker and once
 // with the full pool. The two runs must agree bit for bit — the sweep
-// fails otherwise — and the W-worker run's throughput is what the run
-// report carries as events_per_second.
+// fails otherwise — and the W-worker run's throughput (Throughput) is
+// what the run report carries as events_per_second.
 type SwarmScaleResult struct {
 	// Points holds one entry per swept N, ascending.
 	Points []SwarmScalePoint
 	// Workers is the pool size used for the W-worker runs.
 	Workers int
+	// Profile is the engine diagnosis of the last profiled point (the
+	// largest N); nil when no Recorder was installed, which is what
+	// turns the profiler on. Wall-time-class.
+	Profile *sim.EngineProfile
+}
+
+// Throughput returns the sweep's W-worker events/s and rounds/s over all
+// points: total events and completed rounds divided by total W-worker
+// wall time (zero when nothing was timed).
+func (r *SwarmScaleResult) Throughput() (eventsPerSec, roundsPerSec float64) {
+	var events, rounds int
+	var secs float64
+	for _, p := range r.Points {
+		events += p.Events
+		rounds += int(p.Stats.RoundsCompleted)
+		secs += p.WallSecondsW
+	}
+	if events > 0 && secs > 0 {
+		return float64(events) / secs, float64(rounds) / secs
+	}
+	return 0, 0
 }
 
 // swarmSizes is the full sweep ladder.
@@ -121,7 +142,7 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 		sw.SetRecorder(nil)
 		sw.SetFlightRecorder(nil)
 		if prof != nil {
-			addEngineProfile(prof.Profile())
+			res.Profile = prof.Profile()
 		}
 		// The determinism contract is a hard gate, not a statistic: a
 		// W-worker run that differs from the 1-worker run in any bit of
@@ -131,7 +152,6 @@ func SwarmScale(cfg SwarmScaleConfig) (*SwarmScaleResult, error) {
 				n, workers, ref.Stats, ref.Events, workers, run.Stats, run.Events)
 		}
 		sw.Record(recorder(), run)
-		addSwarmThroughput(run.Events, int(run.Stats.RoundsCompleted), wSecs)
 		pt := SwarmScalePoint{
 			N:               n,
 			Shards:          run.Shards,

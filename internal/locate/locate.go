@@ -54,23 +54,28 @@ func (c *Config) applyDefaults() {
 }
 
 // Solve estimates the 2-D position from at least three range observations
-// to non-collinear anchors.
+// to non-collinear anchors. An observation with a NaN or infinite
+// distance, weight or anchor coordinate is an error that names it.
 func Solve(obs []RangeObservation, cfg Config) (Result, error) {
 	if len(obs) < 3 {
 		return Result{}, fmt.Errorf("locate: need at least 3 ranges, got %d", len(obs))
+	}
+	if err := checkFinite(obs); err != nil {
+		return Result{}, err
 	}
 	cfg.applyDefaults()
 	pos, err := linearSeed(obs)
 	if err != nil {
 		return Result{}, err
 	}
-	var iters int
-	for iters = 0; iters < cfg.MaxIterations; iters++ {
+	iters := 0
+	for iters < cfg.MaxIterations {
 		step, ok := gaussNewtonStep(obs, pos)
 		if !ok {
 			return Result{}, fmt.Errorf("locate: singular geometry (collinear anchors?)")
 		}
 		pos = pos.Add(step)
+		iters++
 		if step.Norm() < cfg.Tolerance {
 			break
 		}
@@ -78,8 +83,24 @@ func Solve(obs []RangeObservation, cfg Config) (Result, error) {
 	return Result{
 		Position:   pos,
 		Residual:   rmsResidual(obs, pos),
-		Iterations: iters + 1,
+		Iterations: iters,
 	}, nil
+}
+
+// checkFinite rejects an observation whose distance, weight or anchor
+// coordinate is NaN or infinite: such an input would otherwise come back
+// as a NaN position with no error. Negative distances stay legal, since
+// noise can push a range measured next to an anchor below zero.
+func checkFinite(obs []RangeObservation) error {
+	for i, o := range obs {
+		for _, v := range [...]float64{o.Anchor.X, o.Anchor.Y, o.Distance, o.Weight} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("locate: observation %d is not finite (anchor (%g, %g), distance %g, weight %g)",
+					i, o.Anchor.X, o.Anchor.Y, o.Distance, o.Weight)
+			}
+		}
+	}
+	return nil
 }
 
 // linearSeed solves the linearized system obtained by subtracting the

@@ -1,9 +1,11 @@
 package locate
 
 import (
+	"fmt"
 	"math"
 	mrand "math/rand"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -167,5 +169,67 @@ func TestSolveRobustRequiresRedundancy(t *testing.T) {
 	obs := obsFor(truth, squareAnchors[:3], 0, nil)
 	if _, err := SolveRobust(obs, RobustConfig{}); err == nil {
 		t.Fatal("three ranges accepted for robust solve")
+	}
+}
+
+func TestSolveRejectsNonFiniteInput(t *testing.T) {
+	truth := geom.Point{X: 4, Y: 3}
+	cases := map[string]func(o *RangeObservation){
+		"NaN distance":  func(o *RangeObservation) { o.Distance = math.NaN() },
+		"+Inf distance": func(o *RangeObservation) { o.Distance = math.Inf(1) },
+		"-Inf distance": func(o *RangeObservation) { o.Distance = math.Inf(-1) },
+		"NaN weight":    func(o *RangeObservation) { o.Weight = math.NaN() },
+		"+Inf weight":   func(o *RangeObservation) { o.Weight = math.Inf(1) },
+		"NaN anchor X":  func(o *RangeObservation) { o.Anchor.X = math.NaN() },
+		"-Inf anchor Y": func(o *RangeObservation) { o.Anchor.Y = math.Inf(-1) },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			obs := obsFor(truth, squareAnchors, 0, nil)
+			corrupt(&obs[2])
+			res, err := Solve(obs, Config{})
+			if err == nil || !strings.Contains(err.Error(), "observation 2") {
+				t.Fatalf("Solve = %+v, err %v; want an error naming observation 2", res, err)
+			}
+			res, err = SolveRobust(obs, RobustConfig{})
+			if err == nil || !strings.Contains(err.Error(), "observation 2") {
+				t.Fatalf("SolveRobust = %+v, err %v; want an error naming observation 2", res, err)
+			}
+		})
+	}
+}
+
+func TestSolveAcceptsSlightlyNegativeRange(t *testing.T) {
+	// Noise can push a range measured next to an anchor below zero; that
+	// is a measurement, not corrupt input.
+	truth := geom.Point{X: 0.01, Y: 0.01}
+	obs := obsFor(truth, squareAnchors, 0, nil)
+	obs[0].Distance = -0.02
+	res, err := Solve(obs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Position.Dist(truth); d > 0.1 {
+		t.Fatalf("fix %v is %g m from truth", res.Position, d)
+	}
+}
+
+func TestSolveIterationsCountsStepsTaken(t *testing.T) {
+	obs := obsFor(geom.Point{X: 4, Y: 3}, squareAnchors, 0.05, rand.New(rand.NewPCG(5, 6)))
+	// A negative tolerance never converges, so the solver runs to its cap.
+	for _, maxIter := range []int{0, 1, 7} {
+		t.Run(fmt.Sprint(maxIter), func(t *testing.T) {
+			want := maxIter
+			if want == 0 {
+				want = 50 // the default cap
+			}
+			res, err := Solve(obs, Config{MaxIterations: maxIter, Tolerance: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != want {
+				t.Fatalf("Iterations = %d, want %d", res.Iterations, want)
+			}
+		})
 	}
 }

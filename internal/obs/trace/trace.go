@@ -31,6 +31,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -403,6 +404,25 @@ func (t *Tracer) Flush() error {
 		}
 	}
 	return t.werr
+}
+
+// CreateFile creates path and returns a Tracer streaming JSONL to it
+// (cfg.Writer is replaced by the file) together with its close function,
+// which flushes the tracer, closes the file and returns the first error.
+func CreateFile(path string, cfg Config) (*Tracer, func() error, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.Writer = f
+	t := New(cfg)
+	return t, func() error {
+		err := t.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // ReadEvents parses a JSONL trace stream written through Config.Writer.

@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -172,6 +174,36 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if evs2[2].Attrs["status"] != "ok" {
 		t.Errorf("end attrs = %+v", evs2[2].Attrs)
+	}
+}
+
+func TestCreateFileFlushesOnClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	tr, closeTrace, err := CreateFile(path, Config{SampleEvery: 2, Clock: fixedClock()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		tr.Begin("round", Attrs{"i": i}).End()
+	}
+	if err := closeTrace(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := ReadEvents(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// SampleEvery 2 keeps two of the four root spans, begin + end each.
+	if len(evs) != 4 {
+		t.Fatalf("file holds %d events, want 4", len(evs))
+	}
+	if _, _, err := CreateFile(filepath.Join(t.TempDir(), "missing", "trace.jsonl"), Config{}); err == nil {
+		t.Fatal("CreateFile into a missing directory succeeded")
 	}
 }
 

@@ -422,6 +422,20 @@ func (p *EngineProfiler) Profile() *EngineProfile {
 	return out
 }
 
+// FillReport copies the scaling diagnosis into the engine_* fields of er
+// (all wall-time-class: StripWallTime zeroes them). A nil profile leaves
+// er unchanged.
+func (ep *EngineProfile) FillReport(er *obs.ExperimentReport) {
+	if ep == nil {
+		return
+	}
+	er.EngineParallelEfficiency = ep.ParallelEfficiency
+	er.EngineBarrierStallPct = ep.BarrierStallPct
+	er.EngineDrainPct = ep.DrainPct
+	er.EngineCriticalShard = ep.CriticalShard
+	er.EngineCriticalShardPct = 100 * ep.CriticalShardShare
+}
+
 // String renders a one-screen diagnosis summary.
 func (ep *EngineProfile) String() string {
 	var b strings.Builder
