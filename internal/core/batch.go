@@ -50,15 +50,16 @@ type BatchResult struct {
 }
 
 // batchShared is the per-CIR-length execution state a batch shares across
-// its workers: the banks holding every template's spectrum at that length.
-// Workers clone the banks (sharing the read-only plans and template
-// spectra, owning the mutable signal state), so the O(templates × FFT)
-// setup is paid once per length instead of once per worker.
+// its workers: the bank of the active search path, holding every
+// template's spectrum at that length. Workers clone the bank (sharing the
+// read-only plans and template spectra, owning the mutable signal state),
+// so the O(templates × FFT) setup is paid once per length instead of once
+// per worker.
 type batchShared struct {
 	n     int
-	fbank *dsp.MatchedFilterBank
-	sbank *dsp.SpectralBank // nil unless the spectral path is active
-	err   error             // length rejected by the dsp layer (e.g. template longer than window)
+	fbank *dsp.MatchedFilterBank // nil unless the reference path is active
+	sbank *dsp.SpectralBank      // nil unless the spectral path is active
+	err   error                  // length rejected by the dsp layer
 }
 
 // batchGroup is one same-length run of the current batch inside the order
@@ -139,9 +140,9 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 		lenState: make(map[int]int),
 		lenGroup: make(map[int]int),
 	}
-	// NewDetector precomputed the dw1000 accumulator window's banks; seed
-	// the shared-state cache with them (the prototype never detects, so
-	// they stay pristine for cloning).
+	// NewDetector precomputed the dw1000 accumulator window's bank; seed
+	// the shared-state cache with it (the prototype never detects, so it
+	// stays pristine for cloning).
 	b.states = append(b.states, &batchShared{n: proto.cirLen, fbank: proto.fbank, sbank: proto.sbank})
 	b.lenState[proto.cirLen] = 0
 	for i := range b.workers {
@@ -301,18 +302,10 @@ func (b *BatchDetector) stateFor(n int) int {
 	}
 	s := &batchShared{n: n}
 	sigLen := n * b.proto.cfg.Upsample
-	if fbank, err := dsp.NewMatchedFilterBank(b.proto.templates, sigLen); err != nil {
-		s.err = err
+	if b.proto.useSpectral() {
+		s.sbank, s.err = dsp.NewSpectralBank(b.proto.templates, sigLen)
 	} else {
-		s.fbank = fbank
-		if b.proto.useSpectral() {
-			if sbank, err := dsp.NewSpectralBank(b.proto.templates, sigLen); err != nil {
-				s.err = err
-				s.fbank = nil
-			} else {
-				s.sbank = sbank
-			}
-		}
+		s.fbank, s.err = dsp.NewMatchedFilterBank(b.proto.templates, sigLen)
 	}
 	si := len(b.states)
 	b.states = append(b.states, s)
@@ -427,7 +420,7 @@ func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error
 
 // newSharedDetector builds a worker detector over the shared per-length
 // state: configuration, bank, and templates come from the prototype, the
-// dsp banks are clones sharing s's read-only plans and spectra, and every
+// dsp bank is a clone sharing s's read-only plans and spectra, and every
 // mutable buffer is freshly owned. Workers is forced to 1 — the batch
 // engine's pool is the parallelism.
 func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
@@ -439,6 +432,7 @@ func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
 	}
 	d := &Detector{
 		cfg:       cfg,
+		path:      proto.path,
 		bank:      proto.bank,
 		ts:        proto.ts,
 		tsUp:      proto.tsUp,
@@ -446,17 +440,16 @@ func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
 		centers:   proto.centers,
 		cirLen:    s.n,
 		upsample:  up,
-		fbank:     s.fbank.Clone(),
 		residual:  make([]complex128, s.n),
 		up:        make([]complex128, s.n*cfg.Upsample),
-		yCur:      make([]complex128, s.n*cfg.Upsample),
+		workers:   make([]detectWorker, 1),
+	}
+	if s.fbank != nil {
+		d.fbank = s.fbank.Clone()
+		d.workers[0].fscratch = d.fbank.NewScratch()
 	}
 	if s.sbank != nil {
 		d.sbank = s.sbank.Clone()
-	}
-	d.workers = make([]detectWorker, 1)
-	d.workers[0].fscratch = d.fbank.NewScratch()
-	if d.sbank != nil {
 		d.workers[0].sscratch = d.sbank.NewScratch()
 	}
 	return d, nil

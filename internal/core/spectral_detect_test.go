@@ -227,13 +227,14 @@ func relCloseT(a, b, tol float64) bool {
 
 // TestFilterPeakMatchesScan: the fused inverse-FFT peak scan must be
 // bit-identical to FilterInto followed by the standalone suppressed scan,
-// for every template and with many extracted paths.
+// for every template and with many extracted paths. The reference path
+// is forced: it is the path that runs FilterPeak.
 func TestFilterPeakMatchesScan(t *testing.T) {
 	bank, err := pulse.DefaultBank(ts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := NewDetector(bank, DetectorConfig{})
+	det, err := newDetector(bank, DetectorConfig{}, pathReference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,8 +254,9 @@ func TestFilterPeakMatchesScan(t *testing.T) {
 	skipQ := appendSuppressedIntervals(nil, extracted, det.cfg.Upsample)
 	n := len(up)
 	scratch := det.fbank.NewScratch()
+	yBuf := make([]complex128, n)
 	for tmpl := range det.templates {
-		y, err := det.fbank.FilterInto(det.yCur, tmpl)
+		y, err := det.fbank.FilterInto(yBuf, tmpl)
 		if err != nil {
 			t.Fatal(err)
 		}

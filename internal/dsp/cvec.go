@@ -31,24 +31,6 @@ func ScaleReal(v []float64, s float64) []float64 {
 	return v
 }
 
-// AddInto adds src into dst element-wise (dst[i] += src[i]). The slices may
-// have different lengths; only the overlapping prefix is touched.
-func AddInto(dst, src []complex128) {
-	n := min(len(dst), len(src))
-	for i := 0; i < n; i++ {
-		dst[i] += src[i]
-	}
-}
-
-// SubInto subtracts src from dst element-wise (dst[i] -= src[i]). Only the
-// overlapping prefix is touched.
-func SubInto(dst, src []complex128) {
-	n := min(len(dst), len(src))
-	for i := 0; i < n; i++ {
-		dst[i] -= src[i]
-	}
-}
-
 // Energy returns the total energy of v, i.e. the sum of squared magnitudes.
 func Energy(v []complex128) float64 {
 	var e float64

@@ -22,15 +22,6 @@ func TestScaleAndAddSub(t *testing.T) {
 	if v[0] != 2i || v[1] != 4i {
 		t.Fatalf("Scale = %v", v)
 	}
-	dst := []complex128{1, 1, 1}
-	AddInto(dst, []complex128{1, 2})
-	if dst[0] != 2 || dst[1] != 3 || dst[2] != 1 {
-		t.Fatalf("AddInto = %v", dst)
-	}
-	SubInto(dst, []complex128{2, 3, 0, 99})
-	if dst[0] != 0 || dst[1] != 0 || dst[2] != 1 {
-		t.Fatalf("SubInto = %v", dst)
-	}
 }
 
 func TestEnergyAndNormalization(t *testing.T) {

@@ -24,10 +24,12 @@ import (
 // evaluates every template's matched-filter output against the maintained
 // spectrum with a single inverse FFT per template and a fused peak scan.
 //
-// The circular transform length M = NextPow2(sigLen) is smaller than the
-// MatchedFilterBank's linear convolution length NextPow2(sigLen+L_t−1);
-// the wrapped convolution tail is corrected exactly from a maintained
-// prefix of the time-domain signal (see scan, overlap-save identity).
+// The circular transform length M = NextPow2(max(sigLen, L)), L the
+// longest template, is smaller than the MatchedFilterBank's linear
+// convolution length NextPow2(sigLen+L_t−1); the wrapped convolution tail
+// (shorter than sigLen, since M ≥ L) is corrected exactly from a
+// maintained prefix of the time-domain signal (see scan, overlap-save
+// identity).
 //
 // Because the fractional shift is the spectrum of the *continuous* pulse
 // resampled on the up-sampled grid — not of the T_s-rendered pulse pushed
@@ -59,13 +61,13 @@ type spectralTemplate struct {
 	taps    []complex128 // conjugated time-reversed template
 	spec    []complex128 // FFT_M of zero-padded taps
 	specRev []complex128 // spec in bit-reversed order for the scan hot loop
-	tail    int          // wrapped convolution samples: sigLen+len(taps)-1-m, ≥ 0
+	tail    int          // wrapped convolution samples: sigLen+len(taps)-1-m, in [0, sigLen)
 	center  int          // (len(template)-1)/2
 }
 
 // NewSpectralBank builds the frequency-domain search state for the given
-// templates and up-sampled signal length. Every template must be non-empty
-// and shorter than the signal.
+// templates and up-sampled signal length. Every template must be
+// non-empty; templates longer than the signal only widen the transform.
 func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error) {
 	if sigLen < 1 {
 		return nil, fmt.Errorf("dsp: spectral bank needs a positive signal length, got %d", sigLen)
@@ -73,7 +75,14 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 	if len(templates) == 0 {
 		return nil, fmt.Errorf("dsp: spectral bank needs at least one template")
 	}
-	m := NextPow2(sigLen)
+	longest := 0
+	for i, t := range templates {
+		if len(t) == 0 {
+			return nil, fmt.Errorf("dsp: empty template %d", i)
+		}
+		longest = max(longest, len(t))
+	}
+	m := NextPow2(max(sigLen, longest))
 	plan, err := NewFFTPlan(m)
 	if err != nil {
 		return nil, err
@@ -87,22 +96,13 @@ func NewSpectralBank(templates [][]complex128, sigLen int) (*SpectralBank, error
 		tmpls:   make([]spectralTemplate, len(templates)),
 	}
 	for i, t := range templates {
-		if len(t) == 0 {
-			return nil, fmt.Errorf("dsp: empty template %d", i)
-		}
-		if len(t) > sigLen {
-			return nil, fmt.Errorf("dsp: template %d longer (%d) than the signal (%d)", i, len(t), sigLen)
-		}
 		taps := MatchedFilterTaps(t)
 		spec := make([]complex128, m)
 		copy(spec, taps)
 		plan.transform(spec, plan.fwd)
 		specRev := make([]complex128, m)
 		plan.permuteInto(specRev, spec)
-		tail := sigLen + len(taps) - 1 - m
-		if tail < 0 {
-			tail = 0
-		}
+		tail := max(sigLen+len(taps)-1-m, 0)
 		b.maxTail = max(b.maxTail, tail)
 		b.tmpls[i] = spectralTemplate{
 			taps:    taps,

@@ -81,6 +81,49 @@ func TestSpectralBankScanMatchesMatchedFilter(t *testing.T) {
 	}
 }
 
+// TestSpectralBankShortSignal: templates longer than the signal widen the
+// transform to the longest template instead of failing, and the scan stays
+// an exact matched filter down to a one-sample signal.
+func TestSpectralBankShortSignal(t *testing.T) {
+	tmpls := spectralTestTemplates(9, 37, 61)
+	for _, sigLen := range []int{1, 4, 16, 40, 64} {
+		sig := seededSignal(sigLen, uint64(sigLen))
+		b, err := NewSpectralBank(tmpls, sigLen)
+		if err != nil {
+			t.Fatalf("sigLen %d: %v", sigLen, err)
+		}
+		if b.PrefixLen() >= sigLen {
+			t.Fatalf("sigLen %d: PrefixLen %d not below the signal length", sigLen, b.PrefixLen())
+		}
+		if err := b.Ingest(sig); err != nil {
+			t.Fatal(err)
+		}
+		scratch := b.NewScratch()
+		for ti, tmpl := range tmpls {
+			want := MatchedFilter(sig, tmpl)
+			idx, sq, y3, err := b.ScanBest(scratch, ti, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantIdx, wantSq := -1, 0.0
+			for i, v := range want {
+				if s := real(v)*real(v) + imag(v)*imag(v); s > wantSq {
+					wantIdx, wantSq = i, s
+				}
+			}
+			if idx != wantIdx {
+				t.Fatalf("sigLen %d template %d: peak index %d, want %d", sigLen, ti, idx, wantIdx)
+			}
+			if rel := math.Abs(sq-wantSq) / wantSq; rel > 1e-9 {
+				t.Errorf("sigLen %d template %d: peak |y|² off by %g relative", sigLen, ti, rel)
+			}
+			if d := cAbs(y3[1] - want[idx]); d > 1e-9*(1+cAbs(want[idx])) {
+				t.Errorf("sigLen %d template %d: y3[1] = %v, want %v", sigLen, ti, y3[1], want[idx])
+			}
+		}
+	}
+}
+
 func cAbs(v complex128) float64 {
 	return math.Hypot(real(v), imag(v))
 }
