@@ -21,13 +21,13 @@ const (
 	MetricBatchCIRs = "detector.batch_cirs"
 	// MetricBatchErrors counts per-item failures inside batches.
 	MetricBatchErrors = "detector.batch_errors"
-	// MetricBatchGroups is the per-batch distinct-CIR-length group count.
-	MetricBatchGroups = "detector.batch_groups"
 	// MetricBatchWorkerItems counts items processed per worker
 	// ({worker="i"}), so a dashboard can see the static round-robin
-	// partition's balance. The partition depends only on batch layout and
-	// pool size, so the per-worker values are deterministic. Recorded
-	// only when the Recorder supports labeled series (obs.VecSource).
+	// partition's balance: worker w processes items w, w+W, w+2W, … of
+	// every batch, failed items included. The partition depends only on
+	// batch size and pool size, so the per-worker values are
+	// deterministic. Recorded only when the Recorder supports labeled
+	// series (obs.VecSource).
 	MetricBatchWorkerItems = "detector.batch_worker_items"
 )
 
@@ -49,47 +49,29 @@ type BatchResult struct {
 	Err       error
 }
 
-// batchShared is the per-CIR-length execution state a batch shares across
-// its workers: the bank of the active search path, holding every
-// template's spectrum at that length. Workers clone the bank (sharing the
-// read-only plans and template spectra, owning the mutable signal state),
-// so the O(templates × FFT) setup is paid once per length instead of once
-// per worker.
-type batchShared struct {
-	n     int
-	fbank *dsp.MatchedFilterBank // nil unless the reference path is active
-	sbank *dsp.SpectralBank      // nil unless the spectral path is active
-	err   error                  // length rejected by the dsp layer
-}
-
-// batchGroup is one same-length run of the current batch inside the order
-// index: items order[lo : lo+fill].
-type batchGroup struct {
-	n     int // CIR length in taps
-	state int // index into BatchDetector.states
-	lo    int // segment start in order
-	count int // planned segment capacity
-	fill  int // items actually enqueued (failed items are excluded)
-}
-
-// batchWorker is one worker's execution state: lazily built per-length
-// detectors (sharing each length's banks via Clone) and the response
-// arena its items' results point into.
+// batchWorker is one worker's execution state: its detector (a clone of
+// the prototype, built on the worker's first item) and the response arena
+// its items' results point into.
 type batchWorker struct {
 	idx   int
 	start chan struct{}
-	dets  []*Detector // parallel to BatchDetector.states; nil until first use
-	resp  []Response  // arena; batch results alias it until the next batch
+	det   *Detector  // nil until the first item
+	resp  []Response // arena; batch results alias it until the next batch
 }
 
-// BatchDetector amortizes detection across many CIRs. It groups
-// same-length inputs so FFT-plan setup and template spectra are built
-// once per length and shared read-only across a fixed worker pool; each
-// worker owns its detectors' mutable scratch, so the steady-state hot
-// path allocates nothing. Items are partitioned round-robin within each
-// group by a static rule, and every item's result depends only on its
-// input, so DetectBatch output is bit-identical to looping Detect —
-// regardless of worker count or scheduling.
+// BatchDetector amortizes detection across many CIRs with a fixed worker
+// pool. Each worker owns one Detector cloned from a prototype: the clones
+// share the prototype's FFT plans and template spectra read-only, and each
+// owns its mutable scratch, so the steady-state hot path allocates
+// nothing. Worker w runs items w, w+W, w+2W, … of the input slice — a
+// static rule — and every item's result depends only on its input, so
+// DetectBatch output is bit-identical to looping Detect regardless of
+// worker count or scheduling.
+//
+// The shared state is built for the DW1000 accumulator window
+// (dw1000.CIRLength taps), the length every simulated reception has. An
+// item of another length makes its worker's detector rebuild its own state
+// (Detector.ensureState) — correct, but slow.
 //
 // A BatchDetector is not safe for concurrent use: one DetectBatch at a
 // time, from one goroutine (the call itself fans out internally).
@@ -99,15 +81,9 @@ type BatchDetector struct {
 	done    chan struct{}
 	closed  bool
 
-	states   []*batchShared
-	lenState map[int]int // CIR length → states index
-	lenGroup map[int]int // CIR length → groups index, current batch only
-
 	cur     []BatchInput
 	res     []BatchResult
 	results []BatchResult // backing storage reused across batches
-	groups  []batchGroup
-	order   []int32
 
 	rec obs.Recorder
 	// workerItems holds the pre-resolved per-worker labeled counter
@@ -133,18 +109,13 @@ func NewBatchDetector(bank *pulse.Bank, cfg DetectorConfig, workers int) (*Batch
 	if err != nil {
 		return nil, err
 	}
+	// NewDetector precomputed the dw1000 accumulator window's bank. The
+	// prototype never detects, so it stays pristine for cloning.
 	b := &BatchDetector{
-		proto:    proto,
-		workers:  make([]*batchWorker, workers),
-		done:     make(chan struct{}),
-		lenState: make(map[int]int),
-		lenGroup: make(map[int]int),
+		proto:   proto,
+		workers: make([]*batchWorker, workers),
+		done:    make(chan struct{}),
 	}
-	// NewDetector precomputed the dw1000 accumulator window's bank; seed
-	// the shared-state cache with it (the prototype never detects, so it
-	// stays pristine for cloning).
-	b.states = append(b.states, &batchShared{n: proto.cirLen, fbank: proto.fbank, sbank: proto.sbank})
-	b.lenState[proto.cirLen] = 0
 	for i := range b.workers {
 		b.workers[i] = &batchWorker{idx: i, start: make(chan struct{})}
 	}
@@ -195,10 +166,8 @@ func (b *BatchDetector) SetProgress(fn func(done int)) { b.onItem = fn }
 
 func (b *BatchDetector) eachWorkerDetector(fn func(*Detector)) {
 	for _, w := range b.workers {
-		for _, d := range w.dets {
-			if d != nil {
-				fn(d)
-			}
+		if w.det != nil {
+			fn(w.det)
 		}
 	}
 }
@@ -218,9 +187,9 @@ func (b *BatchDetector) Close() {
 // DetectBatch runs search and subtract on every input and returns one
 // result per input, in input order. The returned slice and the response
 // slices inside it are engine-owned and valid only until the next
-// DetectBatch or Close. Per-item failures (empty CIR, bad noise RMS, a
-// length the dsp layer rejects, a panicking item) are reported in that
-// item's Err; the batch itself never fails.
+// DetectBatch or Close. Per-item failures (empty CIR, bad noise RMS or
+// taps, a length the dsp layer rejects, a panicking item) are reported in
+// that item's Err; the batch itself never fails.
 func (b *BatchDetector) DetectBatch(inputs []BatchInput) []BatchResult {
 	if cap(b.results) < len(inputs) {
 		b.results = make([]BatchResult, len(inputs))
@@ -230,7 +199,6 @@ func (b *BatchDetector) DetectBatch(inputs []BatchInput) []BatchResult {
 		res[i] = BatchResult{}
 	}
 	b.res, b.cur = res, inputs
-	b.plan(inputs, res)
 	span := b.beginBatchSpan(len(inputs))
 	b.doneN.Store(0)
 	for _, w := range b.workers[1:] {
@@ -247,72 +215,6 @@ func (b *BatchDetector) DetectBatch(inputs []BatchInput) []BatchResult {
 	return res
 }
 
-// plan groups the batch's inputs by CIR length and lays the runnable item
-// indices out group-contiguously in b.order. Items that fail up front
-// (empty taps, a length whose shared state cannot be built) get their
-// error set here and are excluded from the order.
-func (b *BatchDetector) plan(inputs []BatchInput, res []BatchResult) {
-	b.groups = b.groups[:0]
-	clear(b.lenGroup)
-	for _, in := range inputs {
-		n := len(in.Taps)
-		if n == 0 {
-			continue
-		}
-		gi, ok := b.lenGroup[n]
-		if !ok {
-			gi = len(b.groups)
-			b.groups = append(b.groups, batchGroup{n: n, state: b.stateFor(n)})
-			b.lenGroup[n] = gi
-		}
-		b.groups[gi].count++
-	}
-	total := 0
-	for gi := range b.groups {
-		g := &b.groups[gi]
-		g.lo, g.fill = total, 0
-		total += g.count
-	}
-	if cap(b.order) < total {
-		b.order = make([]int32, total)
-	}
-	b.order = b.order[:total]
-	for i, in := range inputs {
-		n := len(in.Taps)
-		if n == 0 {
-			res[i].Err = fmt.Errorf("core: empty CIR")
-			continue
-		}
-		g := &b.groups[b.lenGroup[n]]
-		if s := b.states[g.state]; s.err != nil {
-			res[i].Err = fmt.Errorf("core: %d-tap batch group: %w", n, s.err)
-			continue
-		}
-		b.order[g.lo+g.fill] = int32(i)
-		g.fill++
-	}
-}
-
-// stateFor returns (building and caching on demand) the states index for
-// CIRs of n taps. Build failures are cached too, so every item of a bad
-// length reports the same error without rebuilding.
-func (b *BatchDetector) stateFor(n int) int {
-	if si, ok := b.lenState[n]; ok {
-		return si
-	}
-	s := &batchShared{n: n}
-	sigLen := n * b.proto.cfg.Upsample
-	if b.proto.useSpectral() {
-		s.sbank, s.err = dsp.NewSpectralBank(b.proto.templates, sigLen)
-	} else {
-		s.fbank, s.err = dsp.NewMatchedFilterBank(b.proto.templates, sigLen)
-	}
-	si := len(b.states)
-	b.states = append(b.states, s)
-	b.lenState[n] = si
-	return si
-}
-
 // serve is a non-inline worker's loop: one runWorker per batch.
 func (b *BatchDetector) serve(w *batchWorker) {
 	for range w.start {
@@ -322,30 +224,16 @@ func (b *BatchDetector) serve(w *batchWorker) {
 }
 
 // runWorker processes this worker's statically assigned share of the
-// current batch: within each group segment, items order[g.lo+idx],
-// order[g.lo+idx+W], ... The partition depends only on the batch layout
-// and the pool size — never on timing — and each item's result depends
-// only on its input, so scheduling cannot reorder or change anything.
+// current batch: items idx, idx+W, idx+2W, … The partition depends only on
+// the batch size and the pool size — never on timing — and each item's
+// result depends only on its input, so scheduling cannot reorder or change
+// anything.
 func (b *BatchDetector) runWorker(w *batchWorker) {
 	w.resp = w.resp[:0]
-	W := len(b.workers)
 	items := 0
-	for gi := range b.groups {
-		g := &b.groups[gi]
-		if g.fill == 0 {
-			continue
-		}
-		det, err := b.workerDetector(w, g.state)
-		for k := g.lo + w.idx; k < g.lo+g.fill; k += W {
-			i := int(b.order[k])
-			items++
-			if err != nil {
-				b.res[i].Err = err
-				b.itemDone()
-				continue
-			}
-			b.runItem(w, det, i)
-		}
+	for i := w.idx; i < len(b.cur); i += len(b.workers) {
+		items++
+		b.runItem(w, i)
 	}
 	// One flush per batch per worker, through the pre-resolved child. The
 	// tally is a function of the static partition alone, so the labeled
@@ -367,7 +255,7 @@ func (b *BatchDetector) workerItemCounter(idx int) *obs.Counter {
 // runItem detects one input into the worker's arena, converting a panic
 // into that item's error (with the arena rolled back) so one bad item
 // cannot take the batch down or corrupt its neighbors.
-func (b *BatchDetector) runItem(w *batchWorker, det *Detector, i int) {
+func (b *BatchDetector) runItem(w *batchWorker, i int) {
 	base := len(w.resp)
 	defer func() {
 		if r := recover(); r != nil {
@@ -376,6 +264,11 @@ func (b *BatchDetector) runItem(w *batchWorker, det *Detector, i int) {
 		}
 		b.itemDone()
 	}()
+	det, err := b.workerDetector(w)
+	if err != nil {
+		b.res[i].Err = err
+		return
+	}
 	in := b.cur[i]
 	out, err := det.detectAppend(w.resp, in.Taps, in.NoiseRMS)
 	w.resp = out
@@ -394,17 +287,13 @@ func (b *BatchDetector) itemDone() {
 	}
 }
 
-// workerDetector returns (lazily building) this worker's detector for the
-// given shared state, cloning the state's banks so plan setup and
-// template spectra stay shared while all mutable scratch is worker-owned.
-func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error) {
-	for len(w.dets) <= si {
-		w.dets = append(w.dets, nil)
+// workerDetector returns this worker's detector, building it on first use
+// with the engine's recorders attached.
+func (b *BatchDetector) workerDetector(w *batchWorker) (*Detector, error) {
+	if w.det != nil {
+		return w.det, nil
 	}
-	if d := w.dets[si]; d != nil {
-		return d, nil
-	}
-	d, err := newSharedDetector(b.proto, b.states[si])
+	d, err := newWorkerDetector(b.proto)
 	if err != nil {
 		return nil, err
 	}
@@ -414,19 +303,21 @@ func (b *BatchDetector) workerDetector(w *batchWorker, si int) (*Detector, error
 	if b.flight != nil {
 		d.SetFlightRecorder(b.flight)
 	}
-	w.dets[si] = d
+	w.det = d
 	return d, nil
 }
 
-// newSharedDetector builds a worker detector over the shared per-length
-// state: configuration, bank, and templates come from the prototype, the
-// dsp bank is a clone sharing s's read-only plans and spectra, and every
-// mutable buffer is freshly owned. Workers is forced to 1 — the batch
+// newWorkerDetector builds a worker detector from the prototype: the
+// configuration, bank, templates and centers are the prototype's, the dsp
+// bank is a clone of whichever bank the prototype holds (sharing its
+// read-only plans and template spectra), and the upsample plan and every
+// mutable buffer are freshly owned. Workers is forced to 1 — the batch
 // engine's pool is the parallelism.
-func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
+func newWorkerDetector(proto *Detector) (*Detector, error) {
 	cfg := proto.cfg
 	cfg.Workers = 1
-	up, err := dsp.NewUpsamplePlan(s.n, cfg.Upsample)
+	n := proto.cirLen
+	up, err := dsp.NewUpsamplePlan(n, cfg.Upsample)
 	if err != nil {
 		return nil, err
 	}
@@ -438,18 +329,18 @@ func newSharedDetector(proto *Detector, s *batchShared) (*Detector, error) {
 		tsUp:      proto.tsUp,
 		templates: proto.templates,
 		centers:   proto.centers,
-		cirLen:    s.n,
+		cirLen:    n,
 		upsample:  up,
-		residual:  make([]complex128, s.n),
-		up:        make([]complex128, s.n*cfg.Upsample),
+		residual:  make([]complex128, n),
+		up:        make([]complex128, n*cfg.Upsample),
 		workers:   make([]detectWorker, 1),
 	}
-	if s.fbank != nil {
-		d.fbank = s.fbank.Clone()
+	if proto.fbank != nil {
+		d.fbank = proto.fbank.Clone()
 		d.workers[0].fscratch = d.fbank.NewScratch()
 	}
-	if s.sbank != nil {
-		d.sbank = s.sbank.Clone()
+	if proto.sbank != nil {
+		d.sbank = proto.sbank.Clone()
 		d.workers[0].sscratch = d.sbank.NewScratch()
 	}
 	return d, nil
@@ -463,7 +354,6 @@ func (b *BatchDetector) beginBatchSpan(cirs int) *trace.Span {
 	}
 	sp := b.flight.Begin(trace.SpanDetectBatch, trace.Attrs{
 		"cirs":    cirs,
-		"groups":  len(b.groups),
 		"workers": len(b.workers),
 	})
 	if !sp.Recording() {
@@ -486,7 +376,6 @@ func (b *BatchDetector) endBatch(span *trace.Span, res []BatchResult) {
 		rec.Count(MetricBatchBatches, 1)
 		rec.Count(MetricBatchCIRs, int64(len(res)))
 		rec.Count(MetricBatchErrors, int64(failed))
-		rec.Observe(MetricBatchGroups, float64(len(b.groups)))
 	}
 	if span != nil {
 		span.EndWith(trace.Attrs{

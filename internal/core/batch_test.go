@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand/v2"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -179,11 +180,22 @@ func TestDetectBatchDegenerateInputs(t *testing.T) {
 		long[0],
 		{Taps: tiny, NoiseRMS: noise}, // templates exceed the window
 		short[0],
-		{},      // empty CIR
-		long[1], // same length as item 0: same group
+		{}, // empty CIR
+		long[1],
 		short[1],
 	}
+	// The per-worker tallies pin the partition: worker w runs items w,
+	// w+2, w+4 of the input slice, the empty item included.
+	reg := obs.NewRegistry()
+	eng.SetRecorder(reg)
 	res = eng.DetectBatch(mixed)
+	eng.SetRecorder(nil)
+	items := reg.CounterVec(MetricBatchWorkerItems, "worker")
+	for w, want := range []int64{3, 3} {
+		if got := items.With(strconv.Itoa(w)).Value(); got != want {
+			t.Fatalf("%s{worker=%d} = %d, want %d", MetricBatchWorkerItems, w, got, want)
+		}
+	}
 	if res[3].Err == nil || !strings.Contains(res[3].Err.Error(), "empty CIR") {
 		t.Fatalf("empty CIR error = %v", res[3].Err)
 	}
@@ -213,7 +225,7 @@ func TestDetectBatchDegenerateInputs(t *testing.T) {
 		{Taps: infTap, NoiseRMS: noise},
 		long[1],
 	}
-	reg := obs.NewRegistry()
+	reg = obs.NewRegistry()
 	eng.SetRecorder(reg)
 	res = eng.DetectBatch(bad)
 	eng.SetRecorder(nil)

@@ -33,6 +33,9 @@ const (
 	// detectors) breaks its detector load down by bank. Recorded only
 	// when the Recorder supports labeled series (obs.VecSource).
 	MetricDetectCallsByBank = "detector.bank_detect_calls"
+	// MetricDetectErrors counts Detect calls (batch items included) that
+	// returned an error: rejected input or a dsp-layer failure.
+	MetricDetectErrors = "detector.detect_errors"
 	// MetricDetectIterations is the per-call extraction-round count.
 	MetricDetectIterations = "detector.iterations"
 	// MetricDetectResponses is the per-call detected-response count.
@@ -407,8 +410,18 @@ func (d *Detector) Detect(taps []complex128, noiseRMS float64) ([]Response, erro
 // batch worker's arena; only dst[len(dst):cap] is written). On error the
 // returned slice is dst rolled back to its original length, so a failed
 // item never leaves partial responses behind. The appended window is
-// sorted by delay independently of dst's existing contents.
+// sorted by delay independently of dst's existing contents. Every error
+// return is counted here, the one place all of them pass.
 func (d *Detector) detectAppend(dst []Response, taps []complex128, noiseRMS float64) ([]Response, error) {
+	out, err := d.searchAndSubtract(dst, taps, noiseRMS)
+	if err != nil && d.rec != nil {
+		d.rec.Count(MetricDetectErrors, 1)
+	}
+	return out, err
+}
+
+// searchAndSubtract is detectAppend's body.
+func (d *Detector) searchAndSubtract(dst []Response, taps []complex128, noiseRMS float64) ([]Response, error) {
 	if len(taps) == 0 {
 		return dst, fmt.Errorf("core: empty CIR")
 	}

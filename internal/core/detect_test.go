@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
+	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 )
 
@@ -308,13 +309,19 @@ func TestDetectRejectsNonFiniteInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every rejection is counted in detector.detect_errors.
 	for _, d := range []*Detector{ref, newTestDetector(t, pulse.NumShapes, DetectorConfig{})} {
 		shapes := d.Bank().Len()
+		reg := obs.NewRegistry()
+		d.SetRecorder(reg)
 		for _, tc := range cases {
 			got, err := d.Detect(tc.taps, tc.noiseRMS)
 			if err == nil || len(got) != 0 {
 				t.Errorf("%d shapes, %s: %d responses, err %v; want an error", shapes, tc.name, len(got), err)
 			}
+		}
+		if got := reg.Snapshot().CounterValue(MetricDetectErrors); got != int64(len(cases)) {
+			t.Errorf("%d shapes: %s = %d, want %d", shapes, MetricDetectErrors, got, len(cases))
 		}
 		// The same detector still serves finite input afterwards.
 		if got, err := d.Detect(taps, noise); err != nil || len(got) != 1 {

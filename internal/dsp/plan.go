@@ -774,8 +774,7 @@ func (b *MatchedFilterBank) NewScratch() []complex128 {
 // tables; the plan-owned ConvolveWith scratch is never touched by bank
 // code. Any number of clones may therefore run concurrently, one
 // goroutine each — the sharing that lets a batch engine pay the
-// per-template spectrum setup once per CIR length instead of once per
-// worker.
+// per-template spectrum setup once instead of once per worker.
 func (b *MatchedFilterBank) Clone() *MatchedFilterBank {
 	c := &MatchedFilterBank{
 		sigLen: b.sigLen,

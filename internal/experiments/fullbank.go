@@ -24,7 +24,7 @@ type FullBankConfig struct {
 // the regime Sect. VII targets where every responder needs a
 // distinguishable pulse shape — for a single-responder identification
 // stream (the Sect. V workload) through two execution disciplines: a warm
-// loop reusing one detector, and the batch engine sharing per-length
+// loop reusing one detector, and the batch engine sharing one detector's
 // setup across its worker pool. The batch results are verified
 // bit-identical to the warm loop's before any number is reported.
 type FullBankResult struct {

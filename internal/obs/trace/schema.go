@@ -21,10 +21,9 @@ const (
 	// instants nest inside it.
 	SpanDetect = "detect"
 	// SpanDetectBatch is one core.BatchDetector.DetectBatch call. Begin
-	// attrs carry the batch size, distinct CIR-length group count, and
-	// worker-pool size; end attrs carry the per-item error and total
-	// response counts. Worker detectors' per-item spans open as roots, so
-	// they do not nest under it.
+	// attrs carry the batch size and the worker-pool size; end attrs carry
+	// the per-item error and total response counts. Worker detectors'
+	// per-item spans open as roots, so they do not nest under it.
 	SpanDetectBatch = "detect.batch"
 	// EventDetectRound is one search-and-subtract round: the candidate
 	// peak, per-template matched-filter scores, margin, accept/reject

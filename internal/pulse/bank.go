@@ -97,20 +97,6 @@ func (b *Bank) Shape(i int) Shape { return b.shapes[i] }
 // modify the returned slice.
 func (b *Bank) Template(i int) []complex128 { return b.templates[i] }
 
-// TemplateCopy returns an independent copy of the i-th template.
-func (b *Bank) TemplateCopy(i int) []complex128 { return dsp.Clone(b.templates[i]) }
-
-// IndexOfRegister returns the bank index using the given register value, or
-// -1 when the register is not in the bank.
-func (b *Bank) IndexOfRegister(reg byte) int {
-	for i, s := range b.shapes {
-		if s.Register == reg {
-			return i
-		}
-	}
-	return -1
-}
-
 // CrossCorrelation returns the matrix of normalized correlations between
 // all template pairs; entry [i][j] is the matched-filter response of
 // template j to a unit-amplitude pulse of shape i. The diagonal is 1.

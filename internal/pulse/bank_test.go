@@ -85,19 +85,6 @@ func TestDefaultRegistersLargeNAreDistinctAndSorted(t *testing.T) {
 	}
 }
 
-func TestIndexOfRegister(t *testing.T) {
-	b, err := DefaultBank(ts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.IndexOfRegister(RegisterS2); got != 1 {
-		t.Fatalf("got %d, want 1", got)
-	}
-	if got := b.IndexOfRegister(0xF0); got != -1 {
-		t.Fatalf("got %d, want -1", got)
-	}
-}
-
 func TestCrossCorrelationDiagonalDominance(t *testing.T) {
 	// The matched template must always respond strongest to its own pulse —
 	// the property pulse-shape identification (Sect. V) relies on.
@@ -136,18 +123,6 @@ func TestCrossCorrelationSeparationMargin(t *testing.T) {
 				t.Fatalf("shapes %d/%d too similar: correlation %g", i, j, cc[i][j])
 			}
 		}
-	}
-}
-
-func TestTemplateCopyDoesNotAlias(t *testing.T) {
-	b, err := DefaultBank(ts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := b.TemplateCopy(0)
-	cp[0] += 42
-	if b.Template(0)[0] == cp[0] {
-		t.Fatal("TemplateCopy aliases internal storage")
 	}
 }
 
