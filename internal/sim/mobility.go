@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/geom"
 )
@@ -32,9 +33,17 @@ type leg struct {
 // simulation horizon. Tracks are built before the run from the node's own
 // RNG stream and are immutable afterwards, so any shard may evaluate any
 // node's position without synchronization.
+//
+// The first leg is stored inline and only the further legs in a separate
+// slice: at swarm scale a leg lasts seconds while the run horizon is a
+// fraction of one, so nearly every moving track has exactly one leg and
+// Pos reads it from the node's own cache lines instead of chasing a
+// second pointer. Every walk starts at home, so first.from is the home
+// position; a stationary track is a dwell at home starting at +Inf,
+// which Pos clamps to for every t.
 type Track struct {
-	legs []leg
-	home geom.Point
+	first leg
+	rest  []leg // legs after first; nil for one-leg and stationary tracks
 }
 
 // NewTrack builds a waypoint walk covering [0, horizon] seconds. All draws
@@ -43,14 +52,15 @@ type Track struct {
 // built. A zero RoamRadius (or non-positive speeds/horizon) yields a
 // stationary track.
 func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float64) Track {
-	tr := Track{home: home}
 	if cfg.RoamRadius <= 0 || cfg.MaxSpeed <= 0 || horizon <= 0 {
-		return tr
+		return trackOf(home, nil)
 	}
 	minSpeed := cfg.MinSpeed
 	if minSpeed <= 0 || minSpeed > cfg.MaxSpeed {
 		minSpeed = cfg.MaxSpeed
 	}
+	var buf [8]leg // typical walks are built without a heap allocation
+	legs := buf[:0]
 	pos := home
 	t := 0.0
 	for t < horizon {
@@ -61,50 +71,73 @@ func NewTrack(home geom.Point, cfg MobilityConfig, rng *rand.Rand, horizon float
 		speed := minSpeed + (cfg.MaxSpeed-minSpeed)*rng.Float64()
 		dur := pos.Dist(next) / speed
 		if dur > 0 {
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + dur, from: pos, to: next})
+			legs = append(legs, leg{t0: t, t1: t + dur, from: pos, to: next})
 			t += dur
 			pos = next
 		}
 		if cfg.Pause > 0 {
-			tr.legs = append(tr.legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
+			legs = append(legs, leg{t0: t, t1: t + cfg.Pause, from: pos, to: pos})
 			t += cfg.Pause
 		}
 		if dur <= 0 && cfg.Pause <= 0 {
 			// Degenerate draw (waypoint == current position, no pause):
 			// spend the leg dwelling so the loop always advances.
-			tr.legs = append(tr.legs, leg{t0: t, t1: horizon, from: pos, to: pos})
+			legs = append(legs, leg{t0: t, t1: horizon, from: pos, to: pos})
 			break
 		}
+	}
+	return trackOf(home, legs)
+}
+
+// trackOf lays out a walk from home over legs (in time order, the first
+// starting at home): the first leg inline, copies of the rest in an
+// exactly sized slice. No legs makes a stationary track.
+func trackOf(home geom.Point, legs []leg) Track {
+	if len(legs) == 0 {
+		inf := math.Inf(1)
+		return Track{first: leg{t0: inf, t1: inf, from: home, to: home}}
+	}
+	tr := Track{first: legs[0]}
+	if len(legs) > 1 {
+		tr.rest = slices.Clone(legs[1:])
 	}
 	return tr
 }
 
 // Home returns the track's home position (the shard anchor).
-func (tr *Track) Home() geom.Point { return tr.home }
+func (tr *Track) Home() geom.Point { return tr.first.from }
 
 // Pos evaluates the position at time t, clamping outside the built
 // horizon: before the first leg the node is at its start, after the last
-// at its final waypoint.
+// at its final waypoint. The legs are scanned in time order, inline leg
+// first; !(t > t1) rather than t <= t1 keeps a NaN t on the first leg.
 func (tr *Track) Pos(t float64) geom.Point {
-	if len(tr.legs) == 0 {
-		return tr.home
+	if t <= tr.first.t0 {
+		return tr.first.from
 	}
-	if t <= tr.legs[0].t0 {
-		return tr.legs[0].from
+	if !(t > tr.first.t1) {
+		return tr.first.at(t)
 	}
-	for i := range tr.legs {
-		lg := &tr.legs[i]
-		if t > lg.t1 {
-			continue
-		}
-		if lg.t1 <= lg.t0 {
-			return lg.to
-		}
-		f := (t - lg.t0) / (lg.t1 - lg.t0)
-		return geom.Point{
-			X: lg.from.X + f*(lg.to.X-lg.from.X),
-			Y: lg.from.Y + f*(lg.to.Y-lg.from.Y),
+	for i := range tr.rest {
+		if lg := &tr.rest[i]; !(t > lg.t1) {
+			return lg.at(t)
 		}
 	}
-	return tr.legs[len(tr.legs)-1].to
+	if n := len(tr.rest); n > 0 {
+		return tr.rest[n-1].to
+	}
+	return tr.first.to
+}
+
+// at interpolates the leg at a time t ≤ t1; a zero-duration leg is at its
+// end point.
+func (lg *leg) at(t float64) geom.Point {
+	if lg.t1 <= lg.t0 {
+		return lg.to
+	}
+	f := (t - lg.t0) / (lg.t1 - lg.t0)
+	return geom.Point{
+		X: lg.from.X + f*(lg.to.X-lg.from.X),
+		Y: lg.from.Y + f*(lg.to.Y-lg.from.Y),
+	}
 }

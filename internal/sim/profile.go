@@ -209,7 +209,7 @@ func (p *EngineProfiler) beginWindow(index int, vStart, vEnd float64) {
 }
 
 // windowWorkers records the window's active-shard and effective worker
-// counts. Coordinator only, before the worker pool starts.
+// counts. Coordinator only, before the window goes to the pool.
 func (p *EngineProfiler) windowWorkers(active, workers int) {
 	if workers < 1 {
 		workers = 1

@@ -99,6 +99,12 @@ type ShardedEngine struct {
 	windows   int
 	running   bool
 
+	// active lists the shards with work in the window in flight. It is
+	// rebuilt in place every window, so steady-state windows allocate
+	// nothing; pool workers read it only between a window's publication
+	// and their join.
+	active []*shard
+
 	mu     sync.Mutex
 	err    error
 	failed atomic.Bool // mirrors err != nil for lock-free mid-window checks
@@ -134,6 +140,7 @@ func NewShardedEngine(cfg ShardedConfig) (*ShardedEngine, error) {
 		sched:     make([]shardScheduler, cfg.Shards),
 		workers:   workers,
 		lookahead: cfg.Lookahead,
+		active:    make([]*shard, 0, cfg.Shards),
 	}
 	for i := range se.shards {
 		se.shards[i] = shard{eng: se, id: i}
@@ -201,10 +208,14 @@ func (se *ShardedEngine) runErr() error {
 
 // Run executes barrier windows until every shard's queue is empty or a
 // failure is recorded. It returns the total number of events executed and
-// the failure, if any.
+// the failure, if any. The worker pool lives exactly as long as Run: it
+// starts before the first window and every pool goroutine has exited when
+// Run returns, whether it succeeds, fails or unwinds from a panic.
 func (se *ShardedEngine) Run() (int, error) {
 	se.running = true
 	defer func() { se.running = false }()
+	pool := se.startPool()
+	defer pool.close()
 	for se.runErr() == nil {
 		// Window start: the global minimum pending event time.
 		start := math.Inf(1)
@@ -221,20 +232,21 @@ func (se *ShardedEngine) Run() (int, error) {
 		if se.prof != nil {
 			se.prof.beginWindow(se.windows, start, end)
 		}
-		se.runWindow(end)
+		se.runWindow(pool, end)
 		se.windows++
 		if se.prof != nil {
 			se.prof.execDone()
 		}
 		// Barrier: collect outboxes in shard order and inject the window's
-		// cross-shard messages in (time, src, seq) order.
+		// cross-shard messages in (time, src, seq) order. Only shards that
+		// ran in the window can have sent, and active is in shard order.
 		drained := 0
-		for i := range se.shards {
+		for _, sh := range se.active {
 			if se.prof != nil {
-				se.prof.shardOutbox(i, len(se.shards[i].outbox))
+				se.prof.shardOutbox(sh.id, len(sh.outbox))
 			}
-			drained += len(se.shards[i].outbox)
-			se.bus.collect(&se.shards[i].outbox)
+			drained += len(sh.outbox)
+			se.bus.collect(&sh.outbox)
 		}
 		se.bus.drain(func(m busMessage) {
 			if err := se.shards[m.dst].schedule(m.at, m.fn); err != nil {
@@ -253,55 +265,208 @@ func (se *ShardedEngine) Run() (int, error) {
 }
 
 // runWindow executes every active shard's events in [its current head,
-// end) across the worker pool. Shards are claimed via an atomic cursor;
-// which worker runs which shard is scheduling noise — each shard's events
-// run single-threaded in (time, seq) order, and nothing a shard does in
-// this window is visible to another shard before the barrier.
-func (se *ShardedEngine) runWindow(end float64) {
-	active := make([]*shard, 0, len(se.shards))
+// end) on the coordinator and, when more than one shard is active, the
+// pool's helpers. Shards are claimed via an atomic cursor; which worker
+// runs which shard is scheduling noise — each shard's events run
+// single-threaded in (time, seq) order, and nothing a shard does in this
+// window is visible to another shard before the barrier.
+func (se *ShardedEngine) runWindow(pool *windowPool, end float64) {
+	active := se.active[:0]
 	for i := range se.shards {
 		if q := &se.shards[i].q; q.Len() > 0 && q.peekAt() < end {
 			active = append(active, &se.shards[i])
 		}
 	}
-	workers := se.workers
-	if workers > len(active) {
-		workers = len(active)
-	}
-	prof := se.prof
-	if prof != nil {
-		prof.windowWorkers(len(active), workers)
+	se.active = active
+	workers := min(se.workers, len(active))
+	if se.prof != nil {
+		se.prof.windowWorkers(len(active), workers)
 	}
 	if workers <= 1 {
 		for _, sh := range active {
-			if prof != nil {
-				prof.runShard(0, sh, end)
-			} else {
-				sh.runWindow(end)
-			}
+			se.execShard(0, sh, end)
 		}
 		return
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(active) {
-					return
-				}
-				if prof != nil {
-					prof.runShard(w, active[i], end)
-				} else {
-					active[i].runWindow(end)
-				}
-			}
-		}(w)
+	pool.cursor.Store(0)
+	pool.pending.Store(int32(workers - 1))
+	pool.publish(workers)
+	pool.claim(0)
+	pool.join()
+}
+
+// execShard runs one shard's window on a worker slot, through the
+// profiler when one is attached.
+func (se *ShardedEngine) execShard(worker int, sh *shard, end float64) {
+	if se.prof != nil {
+		se.prof.runShard(worker, sh, end)
+	} else {
+		sh.runWindow(end)
 	}
-	wg.Wait()
+}
+
+// poolSpin is how many times a pool worker polls for its next signal (a
+// new window for a helper, the helpers' join for the coordinator) before
+// parking on a condition variable. Windows last tens of microseconds, so
+// a short poll catches most hand-offs without a futex wake-up, while a
+// long barrier or the end of the run still releases the CPU.
+const poolSpin = 1 << 16
+
+// windowPool is the ShardedEngine's worker pool for one Run. The
+// coordinator goroutine is worker slot 0; helpers run slots 1..n. For each
+// window with more than one active shard the coordinator publishes the
+// window's participant count in state, claims shards itself, then joins:
+// it waits until every participating helper has drained the cursor and
+// finished its last shard. A helper waits for a new state by polling
+// briefly and then parking on wake.
+type windowPool struct {
+	se *ShardedEngine
+	// state packs the window sequence number (high 32 bits) with the
+	// number of participating workers, coordinator included (low 32
+	// bits); 0 participants means stop. One atomic word, so a helper
+	// that does not take part never reads fields the coordinator is
+	// already rewriting for a later window.
+	state   atomic.Uint64
+	cursor  atomic.Int64 // next index into se.active to claim
+	pending atomic.Int32 // participating helpers not yet done with the window
+	spin    int          // polls before parking; 0 parks at once
+
+	mu       sync.Mutex
+	wake     *sync.Cond   // helpers park here for the next state
+	idle     *sync.Cond   // the coordinator parks here for pending == 0
+	sleepers atomic.Int32 // helpers parked or about to park on wake
+	waiting  atomic.Bool  // the coordinator is parked or about to park on idle
+	exited   sync.WaitGroup
+}
+
+// startPool starts the helpers for one Run: one fewer than the workers
+// that can ever take part, since the coordinator is slot 0 and a window
+// never has more participants than shards. It returns nil when no window
+// can use a helper. Polling before parking pays only when every worker
+// has a CPU; with more workers than GOMAXPROCS the pool parks at once.
+func (se *ShardedEngine) startPool() *windowPool {
+	helpers := min(se.workers, len(se.shards)) - 1
+	if helpers < 1 {
+		return nil
+	}
+	p := &windowPool{se: se}
+	if se.workers <= runtime.GOMAXPROCS(0) {
+		p.spin = poolSpin
+	}
+	p.wake = sync.NewCond(&p.mu)
+	p.idle = sync.NewCond(&p.mu)
+	p.exited.Add(helpers)
+	for slot := 1; slot <= helpers; slot++ {
+		go p.helper(slot)
+	}
+	return p
+}
+
+// publish hands the window in se.active to workers participants.
+// Coordinator only, after cursor and pending are reset.
+func (p *windowPool) publish(workers int) {
+	seq := p.state.Load()>>32 + 1
+	p.state.Store(seq<<32 | uint64(workers))
+	// A helper registers in sleepers before its final check of state, so
+	// either it sees the new state or this load sees it and wakes it.
+	if p.sleepers.Load() > 0 {
+		p.mu.Lock()
+		p.wake.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// claim runs shards of the published window on a worker slot until the
+// cursor passes the end of the active list.
+func (p *windowPool) claim(worker int) {
+	se := p.se
+	active, end := se.active, se.windowEnd
+	for {
+		i := int(p.cursor.Add(1)) - 1
+		if i >= len(active) {
+			return
+		}
+		se.execShard(worker, active[i], end)
+	}
+}
+
+// join waits until every participating helper is done with the window.
+// Coordinator only.
+func (p *windowPool) join() {
+	for i := 0; i < p.spin; i++ {
+		if p.pending.Load() == 0 {
+			return
+		}
+	}
+	p.waiting.Store(true)
+	p.mu.Lock()
+	for p.pending.Load() != 0 {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
+	p.waiting.Store(false)
+}
+
+// helper is the loop of pool worker slot: wait for a state newer than the
+// last one seen, take part if the window has a participant for this slot,
+// report done, repeat until the stop state.
+func (p *windowPool) helper(slot int) {
+	defer p.exited.Done()
+	var seen uint64
+	for {
+		st := p.next(seen)
+		seen = st >> 32
+		workers := int(uint32(st))
+		if workers == 0 {
+			return
+		}
+		if slot >= workers {
+			continue
+		}
+		p.claim(slot)
+		// Mirror of publish: the coordinator sets waiting before its final
+		// check of pending, so either it sees zero or this load sees it.
+		if p.pending.Add(-1) == 0 && p.waiting.Load() {
+			p.mu.Lock()
+			p.idle.Signal()
+			p.mu.Unlock()
+		}
+	}
+}
+
+// next returns the first state whose sequence number differs from seen,
+// polling p.spin times before parking.
+func (p *windowPool) next(seen uint64) uint64 {
+	for i := 0; i < p.spin; i++ {
+		if st := p.state.Load(); st>>32 != seen {
+			return st
+		}
+	}
+	p.sleepers.Add(1)
+	p.mu.Lock()
+	st := p.state.Load()
+	for st>>32 == seen {
+		p.wake.Wait()
+		st = p.state.Load()
+	}
+	p.mu.Unlock()
+	p.sleepers.Add(-1)
+	return st
+}
+
+// close publishes the stop state and waits for every helper to exit. A
+// helper still inside a window finishes its claim first, so close is safe
+// on every path out of Run. Nil-safe for runs without helpers.
+func (p *windowPool) close() {
+	if p == nil {
+		return
+	}
+	seq := p.state.Load()>>32 + 1
+	p.state.Store(seq << 32)
+	p.mu.Lock()
+	p.wake.Broadcast()
+	p.mu.Unlock()
+	p.exited.Wait()
 }
 
 // schedule pushes an event onto the shard heap with the shard-local seq as

@@ -157,9 +157,11 @@ func TestSwarmLookaheadIsProtocolScale(t *testing.T) {
 }
 
 // TestSwarmShardedSpeedup asserts the headline perf claim — W workers
-// ≥ some real speedup over 1 worker at 10k nodes — when the host actually
-// has cores to run them. On single-core machines (CI fallback) it only
-// checks that the sharded run completes.
+// ≥ 2× as fast as 1 worker at 10k nodes — when the host actually has
+// cores to run them. Below 4 cores it only checks that the sharded run
+// completes: on 2 cores the W=2/W=1 ratio measures about 1.0 with a
+// spread (0.84–1.18 over 20 interleaved best-of-5 runs) too wide for a
+// 0.9 floor that never flakes.
 func TestSwarmShardedSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node swarm in -short mode")
