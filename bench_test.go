@@ -8,6 +8,8 @@ package concurrentranging
 // full trial counts.
 
 import (
+	"math"
+	"math/rand/v2"
 	"testing"
 
 	"github.com/uwb-sim/concurrent-ranging/internal/channel"
@@ -16,6 +18,7 @@ import (
 	"github.com/uwb-sim/concurrent-ranging/internal/dw1000"
 	"github.com/uwb-sim/concurrent-ranging/internal/experiments"
 	"github.com/uwb-sim/concurrent-ranging/internal/geom"
+	"github.com/uwb-sim/concurrent-ranging/internal/obs"
 	"github.com/uwb-sim/concurrent-ranging/internal/pulse"
 	"github.com/uwb-sim/concurrent-ranging/internal/sim"
 	"github.com/uwb-sim/concurrent-ranging/ranging"
@@ -242,8 +245,40 @@ func BenchmarkAblationThreshold(b *testing.B) {
 
 // ---- micro-benchmarks of the core pipeline ----
 
+// BenchmarkDetectorSearchAndSubtract times one production Detect with the
+// default auto-stop: the museum-sized 3-shape bank on a simulated
+// 3-responder reception, and the full 108-shape bank on three overlapped
+// responders of random shapes (the bank108 benchmark workload's CIRs).
+// rounds/op is the number of search-and-subtract rounds per Detect, so
+// the per-round cost is ns/op over rounds/op.
 func BenchmarkDetectorSearchAndSubtract(b *testing.B) {
-	bank, err := pulse.DefaultBank(dw1000.SampleInterval, 3)
+	b.Run("shapes=3", func(b *testing.B) {
+		benchmarkSearchAndSubtract(b, 3, benchCIR(b), dw1000.DefaultNoiseRMS)
+	})
+	b.Run("shapes=108", func(b *testing.B) {
+		bank, err := pulse.DefaultBank(dw1000.SampleInterval, pulse.NumShapes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		const noise = 1.4e-5
+		r := rand.New(rand.NewPCG(3, 73))
+		taps := make([]complex128, dw1000.CIRLength)
+		base := 80 + r.Float64()*800
+		for i := 0; i < 3; i++ {
+			mag := noise * (30 + r.Float64()*300)
+			ph := r.Float64() * 2 * math.Pi
+			bank.Shape(r.IntN(bank.Len())).RenderInto(taps,
+				complex(mag*math.Cos(ph), mag*math.Sin(ph)), base+(r.Float64()-0.5)*8, dw1000.SampleInterval)
+		}
+		for i := range taps {
+			taps[i] += complex(r.NormFloat64()*noise/math.Sqrt2, r.NormFloat64()*noise/math.Sqrt2)
+		}
+		benchmarkSearchAndSubtract(b, pulse.NumShapes, taps, noise)
+	})
+}
+
+func benchmarkSearchAndSubtract(b *testing.B, shapes int, taps []complex128, noise float64) {
+	bank, err := pulse.DefaultBank(dw1000.SampleInterval, shapes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,13 +286,22 @@ func BenchmarkDetectorSearchAndSubtract(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	taps := benchCIR(b)
+	// Count the rounds on one recorded call; the timed calls run
+	// without a recorder and repeat it exactly.
+	reg := obs.NewRegistry()
+	det.SetRecorder(reg)
+	if _, err := det.Detect(taps, noise); err != nil {
+		b.Fatal(err)
+	}
+	det.SetRecorder(nil)
+	rounds, _ := reg.Snapshot().HistogramByName(core.MetricDetectIterations)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := det.Detect(taps, dw1000.DefaultNoiseRMS); err != nil {
+		if _, err := det.Detect(taps, noise); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(rounds.Sum, "rounds/op")
 }
 
 // BenchmarkMatchedFilterBank1016 is the cached counterpart of

@@ -308,11 +308,11 @@ func (b *BatchDetector) workerDetector(w *batchWorker) (*Detector, error) {
 }
 
 // newWorkerDetector builds a worker detector from the prototype: the
-// configuration, bank, templates and centers are the prototype's, the dsp
-// bank is a clone of whichever bank the prototype holds (sharing its
-// read-only plans and template spectra), and the upsample plan and every
-// mutable buffer are freshly owned. Workers is forced to 1 — the batch
-// engine's pool is the parallelism.
+// configuration, bank, templates, centers and norm constants are the
+// prototype's, the dsp bank is a clone of whichever bank the prototype
+// holds (sharing its read-only plans and template spectra), and the
+// upsample plan and every mutable buffer are freshly owned. Workers is
+// forced to 1 — the batch engine's pool is the parallelism.
 func newWorkerDetector(proto *Detector) (*Detector, error) {
 	cfg := proto.cfg
 	cfg.Workers = 1
@@ -329,6 +329,7 @@ func newWorkerDetector(proto *Detector) (*Detector, error) {
 		tsUp:      proto.tsUp,
 		templates: proto.templates,
 		centers:   proto.centers,
+		norms:     proto.norms,
 		cirLen:    n,
 		upsample:  up,
 		residual:  make([]complex128, n),

@@ -54,14 +54,17 @@ const (
 	MetricDetectTemplateEvals = "detector.template_evals"
 	// MetricUpsampleExecs and the bank metrics surface the dsp plan-level
 	// execution counters. On the spectral path a bank "transform" is one
-	// SpectralBank.Ingest (once per Detect) and a bank "filter" is one
-	// ScanBest; on the reference path they are MatchedFilterBank.Transform
-	// (once per round) and FilterInto/FilterPeak.
+	// full-length SpectralBank.Ingest (once per Detect) and a bank "filter"
+	// is one full-length template filter (every template once per Detect,
+	// in the first round); on the reference path they are
+	// MatchedFilterBank.Transform (once per round) and
+	// FilterInto/FilterPeak (every template every round).
 	MetricUpsampleExecs  = "dsp.upsample_execs"
 	MetricBankTransforms = "dsp.bank_transforms"
 	MetricBankFilters    = "dsp.bank_filters"
-	// MetricBankShiftSubtracts counts analytic DFT-shift spectrum updates —
-	// the subtractions the spectral path performs without any transform.
+	// MetricBankShiftSubtracts counts the spectral path's windowed
+	// rescans: one SpectralBank.Update per extracted response, which
+	// re-filters only the outputs that response's subtraction changed.
 	MetricBankShiftSubtracts = "dsp.bank_shift_subtracts"
 )
 
@@ -125,14 +128,15 @@ const maxIterations = 64
 type searchPath int
 
 const (
-	// pathSpectral, the path every production detector uses, maintains
-	// the residual's up-sampled spectrum analytically across extractions:
-	// one upsample + one forward FFT per Detect, zero forward transforms
-	// per round, at any bank size. The coarse peak search runs on that
-	// (slightly approximate) spectrum; refinement, amplitude estimation,
-	// thresholding and subtraction all stay on the exactly maintained T_s
-	// residual, so delays and amplitudes match the reference path whenever
-	// the coarse argmax lands in the same basin.
+	// pathSpectral, the path every production detector uses, upsamples
+	// the CIR once per Detect and keeps the up-sampled residual current by
+	// subtracting each extracted pulse on the fine grid. The first round
+	// filters every template's whole output; later rounds re-filter only
+	// the window the last subtraction changed. The coarse peak search runs
+	// on that (slightly approximate) residual; refinement, amplitude
+	// estimation, thresholding and subtraction all stay on the exactly
+	// maintained T_s residual, so delays and amplitudes match the reference
+	// path whenever the coarse argmax lands in the same basin.
 	pathSpectral searchPath = iota
 	// pathReference re-upsamples and re-transforms the residual every
 	// round — the exact implementation the spectral path is tested
@@ -156,6 +160,7 @@ type Detector struct {
 	tsUp      float64 // up-sampled interval
 	templates [][]complex128
 	centers   []int
+	norms     []shapeNorm // per template, shared read-only with worker clones
 
 	// Cached frequency-domain execution state for one CIR length
 	// (precomputed for dw1000.CIRLength, rebuilt if a caller detects on a
@@ -165,7 +170,7 @@ type Detector struct {
 	fbank     *dsp.MatchedFilterBank // nil until the reference path or MatchedFilterOutputs needs it
 	sbank     *dsp.SpectralBank      // nil unless the spectral path is active
 	residual  []complex128
-	up        []complex128
+	up        []complex128       // spectral path: the up-sampled residual, kept across rounds
 	skipQ     []dsp.SkipInterval // per-round suppressed intervals, q-space
 	extracted []float64          // per-call already-subtracted peak positions, T_s samples
 	workers   []detectWorker     // per-worker scratch for the template fan-out
@@ -194,7 +199,15 @@ type Detector struct {
 	lastBankFilters   int64
 	lastIngests       int64
 	lastScans         int64
-	lastShifts        int64
+	lastUpdates       int64
+}
+
+// shapeNorm caches a shape's NormConstant at the CIR interval and at the
+// up-sampled interval: the refinement's projections, the grid amplitude
+// scale and the subtractions all need them, and each costs one Eval per
+// template sample.
+type shapeNorm struct {
+	ts, up float64
 }
 
 // detectWorker is one goroutine's worth of search scratch: matched-filter
@@ -292,11 +305,14 @@ func newDetector(bank *pulse.Bank, cfg DetectorConfig, path searchPath) (*Detect
 		tsUp:      bank.SampleInterval() / float64(cfg.Upsample),
 		templates: make([][]complex128, bank.Len()),
 		centers:   make([]int, bank.Len()),
+		norms:     make([]shapeNorm, bank.Len()),
 	}
 	for i := 0; i < bank.Len(); i++ {
-		tmpl := bank.Shape(i).Template(d.tsUp)
+		shape := bank.Shape(i)
+		tmpl := shape.Template(d.tsUp)
 		d.templates[i] = tmpl
 		d.centers[i] = (len(tmpl) - 1) / 2
+		d.norms[i] = shapeNorm{ts: shape.NormConstant(d.ts), up: shape.NormConstant(d.tsUp)}
 	}
 	// Precompute the plans and template spectra for the DW1000 accumulator
 	// window, the CIR length every simulated reception produces. Detecting
@@ -341,7 +357,7 @@ func (d *Detector) ensureState(n int) error {
 	d.fbank = fbank
 	d.sbank = sbank
 	d.lastUpsampleExecs, d.lastBankXforms, d.lastBankFilters = 0, 0, 0
-	d.lastIngests, d.lastScans, d.lastShifts = 0, 0, 0
+	d.lastIngests, d.lastScans, d.lastUpdates = 0, 0, 0
 	d.residual = make([]complex128, n)
 	d.up = make([]complex128, n*d.cfg.Upsample)
 	d.workers = make([]detectWorker, d.workerCount())
@@ -459,9 +475,10 @@ func (d *Detector) searchAndSubtract(dst []Response, taps []complex128, noiseRMS
 	rounds, refineSteps := 0, 0
 	stop := trace.ReasonMaxIterations
 
-	// Spectral fast path: upsample and forward-transform the CIR once,
-	// then keep the spectrum current analytically after each subtraction.
-	// The reference path redoes both every round inside the loop.
+	// Spectral fast path: upsample and forward-transform the CIR once; each
+	// subtraction then updates the up-sampled residual and re-filters only
+	// the window it changed. The reference path redoes the upsample and
+	// the transform every round inside the loop.
 	spectral := d.sbank != nil
 	if spectral {
 		up := d.upsample.Execute(d.up, residual)
@@ -479,11 +496,13 @@ func (d *Detector) searchAndSubtract(dst []Response, taps []complex128, noiseRMS
 			break
 		}
 		rounds++
-		// Coarse search in the up-sampled domain (Sect. IV steps 1–3).
-		// One forward FFT of the residual feeds every template's cached
-		// matched-filter spectrum; each template then costs one complex
-		// multiply pass plus one inverse FFT with the peak scan fused
-		// into its output pass — fanned across workers for large banks.
+		// Coarse search in the up-sampled domain (Sect. IV steps 1–3),
+		// fanned across workers for large banks. The reference path
+		// re-upsamples and re-transforms the residual, then gives every
+		// template one product plus one full inverse FFT with the peak
+		// scan fused into its output pass. The spectral path does that
+		// only in the first round; later rounds re-filter only the window
+		// of outputs the last subtraction changed.
 		if !spectral {
 			up := d.upsample.Execute(d.up, residual)
 			if err := d.fbank.Transform(up); err != nil {
@@ -503,6 +522,9 @@ func (d *Detector) searchAndSubtract(dst []Response, taps []complex128, noiseRMS
 				d.emitRound(span, rounds-1, best, 0, 0, threshold, stop, inputEnergy)
 			}
 			break
+		}
+		if spectral {
+			best.y3 = d.sbank.Outputs3(d.up, best.t, best.idx)
 		}
 		// Refine the peak position to sub-sample precision and estimate
 		// the complex amplitude by projecting the residual onto the
@@ -550,11 +572,15 @@ func (d *Detector) searchAndSubtract(dst []Response, taps []complex128, noiseRMS
 			Amplitude:     alpha,
 			TemplateIndex: best.t,
 		})
-		// Subtract the estimated response (Sect. IV step 5) — and mirror
-		// it analytically into the maintained spectrum on the fast path.
-		d.bank.Shape(best.t).RenderInto(residual, -alpha, peakPos, d.ts)
+		// Subtract the estimated response (Sect. IV step 5) — on the fast
+		// path from the up-sampled residual too, on the fine grid, and
+		// re-filter the window of outputs it changed.
+		shape := d.bank.Shape(best.t)
+		sub := -alpha * complex(d.norms[best.t].ts, 0)
+		shape.AddScaled(residual, sub, peakPos, d.ts)
 		if spectral {
-			if err := d.spectralSubtract(best.t, alpha, peakPos); err != nil {
+			lo, hi := shape.AddScaled(d.up, sub, peakPos*float64(d.cfg.Upsample), d.tsUp)
+			if err := d.sbank.Update(d.up, lo, hi); err != nil {
 				failDetectSpan(span, err)
 				return responses[:base], err
 			}
@@ -697,7 +723,8 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 		return
 	}
 	// Spectral-path counters map onto the same bank metrics: an Ingest is
-	// the one transform a Detect pays, a ScanBest is one template filter.
+	// the one transform a Detect pays, a full-length scan is one template
+	// filter, and an Update is one windowed rescan.
 	if x := d.sbank.Ingests(); x != d.lastIngests {
 		rec.Count(MetricBankTransforms, x-d.lastIngests)
 		d.lastIngests = x
@@ -706,9 +733,9 @@ func (d *Detector) recordDetect(responses []Response, rounds, refineSteps int,
 		rec.Count(MetricBankFilters, f-d.lastScans)
 		d.lastScans = f
 	}
-	if s := d.sbank.ShiftSubtracts(); s != d.lastShifts {
-		rec.Count(MetricBankShiftSubtracts, s-d.lastShifts)
-		d.lastShifts = s
+	if u := d.sbank.Updates(); u != d.lastUpdates {
+		rec.Count(MetricBankShiftSubtracts, u-d.lastUpdates)
+		d.lastUpdates = u
 	}
 }
 
@@ -768,11 +795,11 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candid
 		var (
 			idx int
 			sq  float64
-			y3  [3]complex128
+			y3  [3]complex128 // spectral: filled in for the round's winner only
 			err error
 		)
 		if spectral {
-			idx, sq, y3, err = d.sbank.ScanBest(w.sscratch, t, w.skip)
+			idx, sq, err = d.sbank.Rescan(w.sscratch, t, w.skip)
 		} else {
 			idx, sq, y3, err = d.fbank.FilterPeak(w.fscratch, t, w.skip)
 		}
@@ -795,32 +822,6 @@ func (d *Detector) scanRange(w *detectWorker, lo, hi int, spectral bool) (candid
 		}
 	}
 	return best, nil
-}
-
-// spectralSubtract mirrors the T_s-domain subtraction of
-// alpha·s_t(·−peakPos) into the maintained up-sampled spectrum via the
-// DFT shift theorem. The spectral amplitude rescales α̂ from the
-// T_s-domain template-energy convention to the bank's unit-energy
-// up-sampled templates (the inverse of gridAmplitudeScale).
-func (d *Detector) spectralSubtract(t int, alpha complex128, peakPos float64) error {
-	shape := d.bank.Shape(t)
-	normUp := shape.NormConstant(d.tsUp)
-	normTs := shape.NormConstant(d.ts)
-	if normUp == 0 {
-		return fmt.Errorf("core: template %d has zero energy at the up-sampled rate", t)
-	}
-	amp := alpha * complex(normTs/normUp, 0)
-	finePos := peakPos * float64(d.cfg.Upsample)
-	// The bank's tail-correction prefix needs the time-domain subtraction
-	// too, but only when the pulse support reaches the window start.
-	var eval func(int) complex128
-	if finePos-shape.SupportHalfWidth()/d.tsUp < float64(d.sbank.PrefixLen()) {
-		scale := alpha * complex(normTs, 0)
-		eval = func(x int) complex128 {
-			return scale * complex(shape.Eval((float64(x)-finePos)*d.tsUp), 0)
-		}
-	}
-	return d.sbank.ShiftSubtract(t, amp, finePos, eval)
 }
 
 // suppressionRadius is how close (in CIR samples T_s) a new candidate
@@ -892,9 +893,9 @@ func appendShifted(dst, skipQ []dsp.SkipInterval, center, n int) []dsp.SkipInter
 // |y| (an up-sampled-domain matched-filter output) whose implied peak
 // position is not suppressed, given the round's precomputed q-space
 // intervals. It returns (-1, 0) when everything is suppressed. Detect's
-// hot path fuses this scan into the banks' inverse-FFT output pass
-// (FilterPeak/ScanBest); this standalone form remains as the readable
-// reference the fused scans are tested against.
+// hot path fuses this scan into the banks' inverse-FFT output passes
+// (FilterPeak, and the spectral bank's block scans); this standalone form
+// remains as the readable reference the fused scans are tested against.
 func (d *Detector) maxOutsideSuppression(y []complex128, center int, skipQ []dsp.SkipInterval) (int, float64) {
 	bestIdx, bestSq := -1, 0.0
 	si := 0
@@ -923,13 +924,11 @@ func (d *Detector) maxOutsideSuppression(y []complex128, center int, skipQ []dsp
 // are unit-energy at the up-sampled rate) into the T_s-domain amplitude
 // convention the subtraction and the rest of the pipeline use.
 func (d *Detector) gridAmplitudeScale(tmplIdx int) float64 {
-	shape := d.bank.Shape(tmplIdx)
-	normUp := shape.NormConstant(d.tsUp)
-	normTs := shape.NormConstant(d.ts)
-	if normTs == 0 {
+	n := d.norms[tmplIdx]
+	if n.ts == 0 {
 		return 0
 	}
-	return normUp / normTs
+	return n.up / n.ts
 }
 
 // interpolateY3 returns the fractional offset of the magnitude peak from
@@ -951,7 +950,7 @@ func (d *Detector) interpolateY3(y3 [3]complex128, idx int) float64 {
 // residual energy the subtraction will remove.
 func (d *Detector) projectAmplitude(residual []complex128, tmplIdx int, peakPos float64) (complex128, float64) {
 	shape := d.bank.Shape(tmplIdx)
-	norm := shape.NormConstant(d.ts)
+	norm := d.norms[tmplIdx].ts
 	if norm == 0 {
 		return 0, 0
 	}

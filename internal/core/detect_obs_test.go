@@ -121,8 +121,20 @@ func checkRecordedDiagnostics(t *testing.T,
 	if got := snap.CounterValue(core.MetricBankTransforms); got != transforms {
 		t.Errorf("%s = %d, want %d", core.MetricBankTransforms, got, transforms)
 	}
-	if got := snap.CounterValue(core.MetricBankFilters); got != evals {
-		t.Errorf("%s = %d, want %d", core.MetricBankFilters, got, evals)
+	// Full-length template filters: every round on the reference path,
+	// only the first round on the spectral path, whose later rounds are
+	// windowed rescans (one per extracted response).
+	filters := int64(calls)
+	if perRound {
+		filters = evals
+	}
+	if got := snap.CounterValue(core.MetricBankFilters); got != filters {
+		t.Errorf("%s = %d, want %d", core.MetricBankFilters, got, filters)
+	}
+	if !perRound {
+		if got, want := snap.CounterValue(core.MetricBankShiftSubtracts), int64(calls*responses); got != want {
+			t.Errorf("%s = %d, want %d", core.MetricBankShiftSubtracts, got, want)
+		}
 	}
 	if h, ok := snap.HistogramByName(core.MetricDetectResponses); !ok || h.Count != calls ||
 		int(h.Sum) != calls*responses {

@@ -50,6 +50,36 @@ func FuzzDetect(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	// Rendered 2- and 3-pulse CIRs on the production detector's bank, so
+	// the search runs rounds after the first: windowed rescans on the
+	// full window, and on a short window (where a window transform would
+	// not be shorter than the full one) full rescans. Pulses on the first
+	// and last taps push the windows against both signal ends.
+	type rendered struct {
+		shape    int
+		tap, amp float64
+	}
+	bank := dets[1].Bank()
+	for _, c := range []struct {
+		taps   int
+		pulses []rendered
+	}{
+		{1016, []rendered{{2, 400, 1e-3}, {5, 404.6, -6e-4}}},
+		{1016, []rendered{{0, 0, 8e-4}, {7, 611.3, 1e-3}, {3, 1015, 5e-4}}},
+		{1016, []rendered{{1, 0.4, 1e-3}, {6, 1014.7, -9e-4}}},
+		{100, []rendered{{4, 0, 1e-3}, {2, 50.2, 7e-4}, {0, 99, -6e-4}}},
+	} {
+		cir := make([]complex128, c.taps)
+		for _, p := range c.pulses {
+			bank.Shape(p.shape).RenderInto(cir, complex(p.amp, p.amp/3), p.tap, bank.SampleInterval())
+		}
+		data := make([]byte, 0, 16*len(cir))
+		for _, v := range cir {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(real(v)))
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(imag(v)))
+		}
+		f.Add(data, 1e-5, true)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, noiseRMS float64, spectral bool) {
 		n := min(len(data)/16, 1016)
 		if n == 0 {

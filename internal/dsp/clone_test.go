@@ -91,10 +91,13 @@ func TestMatchedFilterBankCloneMatchesOriginal(t *testing.T) {
 }
 
 func TestSpectralBankCloneMatchesOriginal(t *testing.T) {
-	const n = 256
+	const n = 1024 // long enough for windowed rescans
 	orig, err := NewSpectralBank(cloneTestTemplates(), n)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if orig.wplan == nil {
+		t.Fatal("windowed rescans are off")
 	}
 	clone := orig.Clone()
 	sig := cloneTestSignal(n)
@@ -119,26 +122,35 @@ func TestSpectralBankCloneMatchesOriginal(t *testing.T) {
 				tm, ic, vc, yc, io_, vo, yo)
 		}
 	}
-	// Mutating the clone's maintained spectrum must not leak into the
-	// original.
-	if err := clone.ShiftSubtract(0, 2+1i, 40.5, func(x int) complex128 { return 0 }); err != nil {
-		t.Fatal(err)
-	}
-	i1, v1, _, err := orig.ScanBest(so, 0, nil)
+	// A windowed rescan of a changed signal on the clone must leave the
+	// original's signal state and block maxima alone.
+	i1, v1, err := orig.Rescan(so, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := orig.Ingest(sig); err != nil {
+	changed := append([]complex128(nil), sig...)
+	for x := 600; x < 640; x++ {
+		changed[x] += 50
+	}
+	if err := clone.Update(changed, 600, 639); err != nil {
 		t.Fatal(err)
 	}
-	i2, v2, _, err := orig.ScanBest(so, 0, nil)
+	ic, _, err := clone.Rescan(sc, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ic == i1 {
+		t.Fatal("the change did not move the clone's peak")
+	}
+	i2, v2, err := orig.Rescan(so, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i1 != i2 || v1 != v2 {
-		t.Fatal("clone ShiftSubtract disturbed the original bank's spectrum")
+		t.Fatal("clone Update disturbed the original bank's state")
 	}
-	if clone.Ingests() != 1 || orig.Ingests() != 2 {
-		t.Fatalf("counters not per-instance: clone %d, orig %d", clone.Ingests(), orig.Ingests())
+	if clone.Ingests() != 1 || clone.Updates() != 1 || orig.Updates() != 0 {
+		t.Fatalf("counters not per-instance: clone %d ingests %d updates, orig %d updates",
+			clone.Ingests(), clone.Updates(), orig.Updates())
 	}
 }

@@ -161,13 +161,21 @@ func (s Shape) RenderInto(dst []complex128, alpha complex128, delay, ts float64)
 	if norm == 0 {
 		return
 	}
+	s.AddScaled(dst, alpha*complex(norm, 0), delay, ts)
+}
+
+// AddScaled adds a·Eval((n−delay)·ts) to dst[n] over the pulse support
+// n ∈ [⌊delay−h⌋, ⌈delay+h⌉], h the support half-width in samples of ts,
+// clipped to dst, and returns those support bounds unclipped. RenderInto
+// is AddScaled with a = alpha·NormConstant(ts); callers that keep the
+// constant call AddScaled directly.
+func (s Shape) AddScaled(dst []complex128, a complex128, delay, ts float64) (lo, hi int) {
 	halfSamples := s.SupportHalfWidth() / ts
-	lo := int(math.Floor(delay - halfSamples))
-	hi := int(math.Ceil(delay + halfSamples))
-	lo = max(lo, 0)
-	hi = min(hi, len(dst)-1)
-	a := alpha * complex(norm, 0)
-	for n := lo; n <= hi; n++ {
+	lo = int(math.Floor(delay - halfSamples))
+	hi = int(math.Ceil(delay + halfSamples))
+	last := min(hi, len(dst)-1)
+	for n := max(lo, 0); n <= last; n++ {
 		dst[n] += a * complex(s.Eval((float64(n)-delay)*ts), 0)
 	}
+	return lo, hi
 }
